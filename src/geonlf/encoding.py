@@ -5,6 +5,15 @@ Each encoder has a batched forward that records a cache, and a backward
 that scatters gradients into the parameter tables and (optionally) returns
 gradients with respect to the input positions. Gradients accumulate in
 float64 regardless of the table dtype.
+
+The hash grid follows Instant-NGP: the 8 corners of a point's cell at each
+level hash to rows of a power-of-two table T by
+(i*p1 xor j*p2 xor k*p3) & (T - 1), and all levels are gathered from the
+flattened table at once. The forward caches the corner rows, weights and
+gathered values plus the cell offsets `frac`, not the weight gradients;
+the backward rebuilds those from `frac` only when it returns d/dx, so a
+forward-only caller never computes them. The planar encoder caches its
+offsets the same way.
 """
 
 from __future__ import annotations
@@ -17,11 +26,6 @@ from .errors import OutOfDomain
 
 DOMAIN_EPS = 1e-6
 HASH_PRIMES = (np.uint64(1), np.uint64(2654435761), np.uint64(805459861))
-
-# The 8 cell corners in (x, y, z) bit order.
-_CORNERS = np.array([[b0, b1, b2]
-                     for b0 in (0, 1) for b1 in (0, 1) for b2 in (0, 1)],
-                    dtype=np.int64)
 
 
 @dataclass
@@ -119,84 +123,98 @@ def c2f_weight(alpha: float, level: int) -> float:
     return 1.0
 
 
-def hash_corner_indices(cells: np.ndarray, table_size: int) -> np.ndarray:
-    """Spatial hash (i*p1 xor j*p2 xor k*p3) mod table_size, elementwise."""
-    cells = cells.astype(np.uint64)
-    h = (cells[..., 0] * HASH_PRIMES[0]
-         ^ cells[..., 1] * HASH_PRIMES[1]
-         ^ cells[..., 2] * HASH_PRIMES[2])
-    return (h % np.uint64(table_size)).astype(np.int64)
-
-
-def _trilinear_setup(x: np.ndarray, resolution: int):
-    """Cell indices, corner hash inputs, weights and weight gradients.
-
-    Positions scale by the cell count `resolution`; the corner lattice has
-    resolution + 1 sites per axis. Works in the dtype of `x`.
-    """
-    pos = x * np.asarray(resolution, dtype=x.dtype)
-    floor = np.floor(pos)
-    base = floor.astype(np.int64)                  # (n, 3), in [0, resolution]
-    frac = pos - floor                             # (n, 3), in [0, 1)
-    corners = base[:, None, :] + _CORNERS[None, :, :]          # (n, 8, 3)
-
-    n = x.shape[0]
-    one = 1.0 - frac
-    w_ax = (np.stack([one[:, 0], frac[:, 0]]),     # (2, n) per axis
-            np.stack([one[:, 1], frac[:, 1]]),
-            np.stack([one[:, 2], frac[:, 2]]))
-    weights = np.empty((n, 8), dtype=x.dtype)
-    grads = np.empty((n, 8, 3), dtype=x.dtype)
-    for k, (b0, b1, b2) in enumerate(_CORNERS):
-        w01 = w_ax[0][b0] * w_ax[1][b1]
-        weights[:, k] = w01 * w_ax[2][b2]
-        s0, s1, s2 = 2 * b0 - 1, 2 * b1 - 1, 2 * b2 - 1
-        grads[:, k, 0] = s0 * (w_ax[1][b1] * w_ax[2][b2])
-        grads[:, k, 1] = s1 * (w_ax[0][b0] * w_ax[2][b2])
-        grads[:, k, 2] = s2 * w01
-    grads *= resolution
-    return corners, weights, grads
+def _per_corner(op, a0, a1, a2, out: np.ndarray) -> np.ndarray:
+    """out[..., k] = op(op(a0[b0], a1[b1]), a2[b2]) over the 8 cell corners
+    k = 4*b0 + 2*b1 + b2, i.e. (x, y, z) bit order; each a_i is a pair
+    indexed by the corner bit on its axis."""
+    for b0 in (0, 1):
+        for b1 in (0, 1):
+            a01 = op(a0[b0], a1[b1])
+            for b2 in (0, 1):
+                op(a01, a2[b2], out=out[..., 4 * b0 + 2 * b1 + b2])
+    return out
 
 
 def hash_encode_forward(x: np.ndarray, tables: np.ndarray, cfg: EncodingConfig):
     """Trilinear blend of 8 hashed corner features per level, concatenated.
 
-    x: (n, 3) in [0, 1]; tables: (levels, table_size, F).
-    Returns (features (n, levels*F), cache).
+    x: (n, 3) in [0, 1]; tables: (L, T, F) with T a power of two.
+    Level l scales x by its cell count r_l (the corner lattice has r_l + 1
+    sites per axis). Corner (i, j, k) of a cell reads row l*T + h of the
+    flattened (L*T, F) table, h = (i*p1 xor j*p2 xor k*p3) & (T - 1) in
+    wrapping uint64 arithmetic; the products are formed once per axis and
+    all levels are gathered at once.
+    Returns (features (n, L*F), cache). The cache holds, level-major, the
+    flat rows `idx` (L, n, 8), the corner `weights` (L, n, 8), the gathered
+    `vals` (L, n, 8, F), and the cell offsets `frac` (3, L, n) and
+    resolutions `res` (L,) from which the backward rebuilds the weight
+    gradients when it needs dx.
     """
     x = check_domain(x)
     n = x.shape[0]
-    f = cfg.features_per_level
-    features = np.empty((n, cfg.levels * f), dtype=x.dtype)
-    cache = {"x_shape": n, "levels": []}
-    for level, res in enumerate(cfg.level_resolutions()):
-        corners, weights, wgrads = _trilinear_setup(x, res)
-        idx = hash_corner_indices(corners, cfg.hash_table_size)   # (n, 8)
-        vals = tables[level][idx]                                 # (n, 8, F)
-        features[:, level * f:(level + 1) * f] = \
-            (weights[:, None, :] @ vals)[:, 0, :]
-        cache["levels"].append((idx, weights, wgrads, vals))
-    return features, cache
+    levels, f, t = cfg.levels, cfg.features_per_level, cfg.hash_table_size
+    res = np.asarray(cfg.level_resolutions(), dtype=x.dtype)
+    pos = x.T[:, None, :] * res[:, None]                      # (3, L, n)
+    floor = np.floor(pos)
+    frac = pos - floor                                        # in [0, 1)
+    one = 1.0 - frac
+    weights = _per_corner(np.multiply, *zip(one, frac),
+                          out=np.empty((levels, n, 8), dtype=x.dtype))
+
+    base = floor.astype(np.uint64)                            # in [0, r_l]
+    mask = np.uint64(t - 1)
+    # (a xor b) & m == (a & m) xor (b & m); the level offset sits above m.
+    keys = [[((base[a] + np.uint64(b)) * HASH_PRIMES[a]) & mask
+             for b in (0, 1)] for a in range(3)]
+    offset = (np.arange(levels, dtype=np.uint64) * np.uint64(t))[:, None]
+    keys[0] = [k | offset for k in keys[0]]
+    idx = _per_corner(np.bitwise_xor, *keys,
+                      out=np.empty((levels, n, 8), dtype=np.uint64)
+                      ).view(np.int64)
+
+    vals = np.take(tables.reshape(levels * t, f), idx, axis=0)  # (L, n, 8, F)
+    features = (weights[..., None, :] @ vals)[:, :, 0, :]
+    cache = {"idx": idx, "weights": weights, "vals": vals,
+             "frac": frac, "res": res}
+    return features.transpose(1, 0, 2).reshape(n, levels * f), cache
 
 
 def hash_encode_backward(cache, upstream: np.ndarray, grad_tables: np.ndarray,
                          cfg: EncodingConfig, need_dx: bool = True):
-    """Scatter upstream feature gradients into the tables; return d/dx."""
+    """Scatter upstream feature gradients into the tables; return d/dx.
+
+    The scatter is one bincount per channel over the flat rows of all
+    levels. Only when need_dx is set are the weight gradients (n, 8, 3)
+    rebuilt, level by level, from the cached `frac` and `res`; otherwise
+    the result is None.
+    """
+    weights, vals, frac = cache["weights"], cache["vals"], cache["frac"]
+    levels, n = weights.shape[:2]
     f = cfg.features_per_level
-    n = cache["x_shape"]
-    dx = np.zeros((n, 3), dtype=upstream.dtype) if need_dx else None
-    table_size = grad_tables.shape[1]
-    for level, (idx, weights, wgrads, vals) in enumerate(cache["levels"]):
-        dy = upstream[:, level * f:(level + 1) * f]               # (n, F)
-        contrib = weights[:, :, None] * dy[:, None, :]            # (n, 8, F)
-        flat_idx = idx.reshape(-1)
-        for ch in range(f):
-            grad_tables[level, :, ch] += np.bincount(
-                flat_idx, weights=contrib[:, :, ch].reshape(-1),
-                minlength=table_size)
-        if need_dx:
-            val_dot = (vals @ dy[:, :, None])[:, :, 0]            # (n, 8)
-            dx += (val_dot[:, None, :] @ wgrads)[:, 0, :]
+    dy = upstream.reshape(n, levels, f).transpose(1, 0, 2)    # (L, n, F)
+    flat_idx = cache["idx"].reshape(-1)
+    size = levels * grad_tables.shape[1]
+    for ch in range(f):
+        contrib = weights * dy[:, :, ch, None]                # (L, n, 8)
+        grad_tables[:, :, ch] += np.bincount(
+            flat_idx, weights=contrib.reshape(-1),
+            minlength=size).reshape(levels, -1)
+    if not need_dx:
+        return None
+    one = 1.0 - frac
+    wgrads = np.empty((n, 8, 3), dtype=frac.dtype)
+    dx = np.zeros((n, 3), dtype=upstream.dtype)
+    for level in range(levels):
+        w = [(one[a, level], frac[a, level]) for a in range(3)]
+        for axis in range(3):
+            # d(1 - f, f)/df = (-1, 1) stands in for this axis' weights.
+            _per_corner(np.multiply, *w[:axis], (-1.0, 1.0), *w[axis + 1:],
+                        out=wgrads[..., axis])
+        wgrads *= cache["res"][level]
+        # Per point (8, F) @ (F, 1), then (1, 8) @ (8, 3): the matmul shapes
+        # fix how the sums round, so d/dx matches the level-by-level form.
+        val_dot = (vals[level] @ dy[level][..., None])[..., 0]  # (n, 8)
+        dx += (val_dot[:, None, :] @ wgrads)[:, 0, :]
     return dx
 
 
@@ -211,7 +229,8 @@ _PLANE_AXES = ((0, 1), (0, 2), (1, 2))   # xy, xz, yz
 
 
 def _bilinear_setup(uv: np.ndarray, size: int):
-    """Align-corners bilinear setup on a size x size grid (size-1 cells)."""
+    """Align-corners bilinear setup on a size x size grid (size-1 cells):
+    flat corner rows (n, 4), weights (n, 4) and cell offsets (n, 2)."""
     pos = uv * np.asarray(size - 1, dtype=uv.dtype)
     base_f = np.clip(np.floor(pos), 0.0, size - 2)
     base = base_f.astype(np.int64)
@@ -219,13 +238,11 @@ def _bilinear_setup(uv: np.ndarray, size: int):
     fu, fv = frac[:, 0], frac[:, 1]
     weights = np.stack([(1 - fu) * (1 - fv), fu * (1 - fv),
                         (1 - fu) * fv, fu * fv], axis=1)           # (n, 4)
-    du = np.stack([-(1 - fv), (1 - fv), -fv, fv], axis=1) * (size - 1)
-    dv = np.stack([-(1 - fu), -fu, (1 - fu), fu], axis=1) * (size - 1)
     flat = np.stack([base[:, 0] * size + base[:, 1],
                      (base[:, 0] + 1) * size + base[:, 1],
                      base[:, 0] * size + base[:, 1] + 1,
                      (base[:, 0] + 1) * size + base[:, 1] + 1], axis=1)
-    return flat, weights, du, dv
+    return flat, weights, frac
 
 
 def planar_encode_forward(x: np.ndarray, planes: np.ndarray, cfg: EncodingConfig):
@@ -239,11 +256,11 @@ def planar_encode_forward(x: np.ndarray, planes: np.ndarray, cfg: EncodingConfig
     cache_planes = []
     for p, (au, av) in enumerate(_PLANE_AXES):
         uv = x[:, (au, av)]
-        flat, weights, du, dv = _bilinear_setup(uv, m)
+        flat, weights, frac = _bilinear_setup(uv, m)
         table = planes[p].reshape(m * m, -1)                       # (M*M, C)
         vals = table[flat]                                         # (n, 4, C)
         samples.append((weights[:, None, :] @ vals)[:, 0, :])
-        cache_planes.append((flat, weights, du, dv, vals, au, av))
+        cache_planes.append((flat, weights, frac, vals, au, av))
     features = samples[0] * samples[1] * samples[2]
     return features, {"samples": samples, "planes": cache_planes,
                       "n": x.shape[0]}
@@ -251,12 +268,13 @@ def planar_encode_forward(x: np.ndarray, planes: np.ndarray, cfg: EncodingConfig
 
 def planar_encode_backward(cache, upstream: np.ndarray, grad_planes: np.ndarray,
                            cfg: EncodingConfig, need_dx: bool = True):
-    """Product rule across the three planes, then bilinear scatter."""
+    """Product rule across the three planes, then bilinear scatter; the
+    weight gradients du, dv come from the cached offsets when need_dx."""
     m = cfg.planar_resolution
     s0, s1, s2 = cache["samples"]
     others = [s1 * s2, s0 * s2, s0 * s1]
     dx = np.zeros((cache["n"], 3), dtype=upstream.dtype) if need_dx else None
-    for p, (flat, weights, du, dv, vals, au, av) in enumerate(cache["planes"]):
+    for p, (flat, weights, frac, vals, au, av) in enumerate(cache["planes"]):
         dsample = upstream * others[p]                             # (n, C)
         contrib = weights[:, :, None] * dsample[:, None, :]        # (n, 4, C)
         flat_all = flat.reshape(-1)
@@ -266,6 +284,9 @@ def planar_encode_backward(cache, upstream: np.ndarray, grad_planes: np.ndarray,
                                      weights=contrib[:, :, ch].reshape(-1),
                                      minlength=m * m)
         if need_dx:
+            fu, fv = frac[:, 0], frac[:, 1]
+            du = np.stack([-(1 - fv), (1 - fv), -fv, fv], axis=1) * (m - 1)
+            dv = np.stack([-(1 - fu), -fu, (1 - fu), fu], axis=1) * (m - 1)
             val_dot = (vals @ dsample[:, :, None])[:, :, 0]        # (n, 4)
             dx[:, au] += (val_dot * du).sum(axis=1)
             dx[:, av] += (val_dot * dv).sum(axis=1)

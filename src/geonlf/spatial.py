@@ -67,14 +67,6 @@ class KdTree:
         return best.astype(np.int64), dist[:, 0]
 
 
-def kd_build(cloud: PointCloud) -> KdTree:
-    return KdTree(cloud.points)
-
-
-def kd_nearest(tree: KdTree, query: np.ndarray) -> tuple[int, float]:
-    return tree.nearest(query)
-
-
 def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     """One centroid per occupied voxel; cells keyed by floor(x / voxel).
 

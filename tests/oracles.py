@@ -103,3 +103,81 @@ def voxel_groups(points, voxel):
     for key, members in groups.items():
         out[key] = np.mean(members, axis=0)
     return out
+
+
+# Reference hash-grid encoder: level by level, an (n, 8, 3) corner array
+# hashed elementwise with a modulo, and the weight gradients formed in the
+# forward pass.
+HASH_PRIMES = (np.uint64(1), np.uint64(2654435761), np.uint64(805459861))
+CORNERS = np.array([[b0, b1, b2]
+                    for b0 in (0, 1) for b1 in (0, 1) for b2 in (0, 1)],
+                   dtype=np.int64)
+
+
+def hash_corner_indices(cells, table_size):
+    """Spatial hash (i*p1 xor j*p2 xor k*p3) mod table_size, elementwise."""
+    cells = cells.astype(np.uint64)
+    h = (cells[..., 0] * HASH_PRIMES[0]
+         ^ cells[..., 1] * HASH_PRIMES[1]
+         ^ cells[..., 2] * HASH_PRIMES[2])
+    return (h % np.uint64(table_size)).astype(np.int64)
+
+
+def trilinear_setup(x, resolution):
+    """Corner cells (n, 8, 3), weights (n, 8) and weight gradients (n, 8, 3)
+    at one level, in the dtype of x."""
+    pos = x * np.asarray(resolution, dtype=x.dtype)
+    floor = np.floor(pos)
+    base = floor.astype(np.int64)
+    frac = pos - floor
+    corners = base[:, None, :] + CORNERS[None, :, :]
+
+    n = x.shape[0]
+    one = 1.0 - frac
+    w_ax = (np.stack([one[:, 0], frac[:, 0]]),
+            np.stack([one[:, 1], frac[:, 1]]),
+            np.stack([one[:, 2], frac[:, 2]]))
+    weights = np.empty((n, 8), dtype=x.dtype)
+    grads = np.empty((n, 8, 3), dtype=x.dtype)
+    for k, (b0, b1, b2) in enumerate(CORNERS):
+        w01 = w_ax[0][b0] * w_ax[1][b1]
+        weights[:, k] = w01 * w_ax[2][b2]
+        s0, s1, s2 = 2 * b0 - 1, 2 * b1 - 1, 2 * b2 - 1
+        grads[:, k, 0] = s0 * (w_ax[1][b1] * w_ax[2][b2])
+        grads[:, k, 1] = s1 * (w_ax[0][b0] * w_ax[2][b2])
+        grads[:, k, 2] = s2 * w01
+    grads *= resolution
+    return corners, weights, grads
+
+
+def reference_hash_encode(x, tables, resolutions):
+    """Features (n, L*F) and per-level (idx, weights, wgrads, vals), where
+    idx indexes the level's own table."""
+    n, (_, table_size, f) = x.shape[0], tables.shape
+    features = np.empty((n, len(resolutions) * f), dtype=x.dtype)
+    levels = []
+    for level, res in enumerate(resolutions):
+        corners, weights, wgrads = trilinear_setup(x, res)
+        idx = hash_corner_indices(corners, table_size)
+        vals = tables[level][idx]
+        features[:, level * f:(level + 1) * f] = \
+            (weights[:, None, :] @ vals)[:, 0, :]
+        levels.append((idx, weights, wgrads, vals))
+    return features, levels
+
+
+def reference_hash_backward(levels, upstream, grad_tables):
+    """Scatter into grad_tables level by level and channel by channel;
+    return d/dx."""
+    f = grad_tables.shape[2]
+    dx = np.zeros((upstream.shape[0], 3), dtype=upstream.dtype)
+    for level, (idx, weights, wgrads, vals) in enumerate(levels):
+        dy = upstream[:, level * f:(level + 1) * f]
+        contrib = weights[:, :, None] * dy[:, None, :]
+        for ch in range(f):
+            grad_tables[level, :, ch] += np.bincount(
+                idx.reshape(-1), weights=contrib[:, :, ch].reshape(-1),
+                minlength=grad_tables.shape[1])
+        val_dot = (vals @ dy[:, :, None])[:, :, 0]
+        dx += (val_dot[:, None, :] @ wgrads)[:, 0, :]
+    return dx

@@ -1,8 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Criteria 6 and 7 train full models and are marked `slow`; everything else
-completes in well under a minute. Run `pytest tests/test_acceptance.py -v -s`
-for the full gate or `-k "not slow"` for the quick part.
+Criteria 6 and 7 train full models and take the `slow` marker registered in
+pyproject.toml (neither is written yet); everything else completes in well
+under a minute. Run `pytest tests/test_acceptance.py -v -s` for the full
+gate, `-m "not slow"` for the quick part or `-m slow` for the end-to-end
+criteria alone.
 """
 
 import time

@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geonlf.encoding import (EncodingConfig, c2f_weight, check_domain,
-                             encode_backward, encode_forward,
-                             hash_corner_indices, hash_encode,
-                             hash_encode_forward, mask_weights,
-                             masked_encoding, masked_sinusoidal_encode,
-                             planar_encode, planar_encode_forward,
+                             encode_backward, encode_forward, hash_encode,
+                             hash_encode_backward, hash_encode_forward,
+                             mask_weights, masked_encoding,
+                             masked_sinusoidal_encode, planar_encode,
+                             planar_encode_backward, planar_encode_forward,
                              sinusoidal_encode)
 from geonlf.errors import OutOfDomain
-from oracles import numeric_gradient
+from oracles import (hash_corner_indices, numeric_gradient,
+                     reference_hash_backward, reference_hash_encode)
 
 # Power-of-two resolutions make lattice corners exactly representable.
 CFG = EncodingConfig(levels=2, base_resolution=16, growth=2.0,
@@ -141,6 +142,67 @@ class TestHashEncode:
         out = hash_encode(np.array([1.0 + 5e-7, 0.5, 0.5]), tables, CFG)
         ref = hash_encode(np.array([1.0, 0.5, 0.5]), tables, CFG)
         np.testing.assert_array_equal(out, ref)
+
+
+def assert_bits_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+# Coordinates on every lattice of CFG (resolutions 16 and 32), the domain
+# faces 0.0 and 1.0, and arbitrary points in between.
+_COORD = st.one_of(st.floats(0.0, 1.0),
+                   st.integers(0, 64).map(lambda k: k / 64.0),
+                   st.sampled_from([0.0, 1.0]))
+
+
+class TestFusedHashMatchesReference:
+    """The fused all-level kernel reproduces the level-by-level reference
+    bit for bit: features, cached rows and weights, table gradients and
+    d/dx (with the weight gradients rebuilt in the backward)."""
+
+    @given(st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1,
+                    max_size=40),
+           st.sampled_from([np.float32, np.float64]),
+           st.sampled_from([CFG, EncodingConfig()]),
+           st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical(self, points, dtype, cfg, seed):
+        x = np.array(points, dtype=dtype)
+        tables, planes = make_tables(cfg, seed)
+        tables, planes = tables.astype(dtype), planes.astype(dtype)
+        t = cfg.hash_table_size
+
+        out, cache = hash_encode_forward(x, tables, cfg)
+        ref, ref_levels = reference_hash_encode(x, tables,
+                                                cfg.level_resolutions())
+        assert_bits_equal(out, ref)
+        for level, (idx, weights, _, _) in enumerate(ref_levels):
+            np.testing.assert_array_equal(cache["idx"][level], idx + level * t)
+            assert_bits_equal(cache["weights"][level], weights)
+
+        upstream = np.random.default_rng(seed).normal(
+            size=out.shape).astype(dtype)
+        g_tables = np.zeros(tables.shape)
+        g_ref = np.zeros(tables.shape)
+        dx = hash_encode_backward(cache, upstream, g_tables, cfg)
+        assert_bits_equal(dx, reference_hash_backward(ref_levels, upstream,
+                                                      g_ref))
+        assert_bits_equal(g_tables, g_ref)
+
+        # Through the hybrid encoder: planar d/dx plus the reference's.
+        c = cfg.planar_channels
+        up_all = np.random.default_rng(seed + 1).normal(
+            size=(x.shape[0], cfg.feature_dim)).astype(dtype)
+        _, enc_cache = encode_forward(x, planes, tables, cfg, alpha=None)
+        dx_all = encode_backward(enc_cache, up_all, np.zeros(planes.shape),
+                                 np.zeros(tables.shape), cfg)
+        _, p_cache = planar_encode_forward(x, planes, cfg)
+        dx_p = planar_encode_backward(p_cache, up_all[:, :c],
+                                      np.zeros(planes.shape), cfg)
+        dx_h = reference_hash_backward(ref_levels, up_all[:, c:].copy(),
+                                       np.zeros(tables.shape))
+        assert_bits_equal(dx_all, dx_p + dx_h)
 
 
 class TestPlanarEncode:

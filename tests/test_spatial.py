@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from geonlf.cloud import PointCloud
 from geonlf.errors import DegenerateNeighborhood, EmptyCloud, NonPositiveVoxel
-from geonlf.spatial import KdTree, estimate_normals, kd_build, kd_nearest, voxel_downsample
+from geonlf.spatial import KdTree, estimate_normals, voxel_downsample
 from oracles import linear_scan_nearest, voxel_groups
 
 
@@ -75,11 +75,6 @@ class TestKdTree:
     def test_empty_raises(self):
         with pytest.raises(EmptyCloud):
             KdTree(np.zeros((0, 3)))
-
-    def test_kd_build_wrapper(self):
-        cloud = PointCloud(np.random.default_rng(3).normal(size=(10, 3)))
-        tree = kd_build(cloud)
-        assert kd_nearest(tree, cloud.points[3])[0] == 3
 
 
 class TestVoxelDownsample:
