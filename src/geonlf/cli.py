@@ -8,7 +8,6 @@ identical to invoking the corresponding functions directly.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -245,9 +244,6 @@ def _add_common(sub, data_arg=True):
         sub.add_argument("data", help="dataset directory produced by `gen`")
     sub.add_argument("--config", help="run configuration file")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (overrides GEONLF_THREADS); the "
-                          "reference implementation runs sequentially")
     sub.add_argument("--out", default="out", help="output directory")
 
 
@@ -294,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--fscore-threshold", type=float, default=0.05)
     ev.add_argument("--config", help="run configuration file")
     ev.add_argument("--seed", type=int, default=None)
-    ev.add_argument("--threads", type=int, default=None)
     ev.add_argument("--out", default=None)
     ev.set_defaults(func=cmd_eval)
 
@@ -302,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument("trajectories", nargs="+")
     plot.add_argument("--config", default=None)
     plot.add_argument("--seed", type=int, default=None)
-    plot.add_argument("--threads", type=int, default=None)
     plot.add_argument("--out", default=None)
     plot.set_defaults(func=cmd_plot)
     return parser
@@ -310,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is None:
-        args.threads = int(os.environ.get("GEONLF_THREADS", "1"))
     try:
         return args.func(args)
     except NonFiniteLoss as exc:

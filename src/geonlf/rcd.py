@@ -211,43 +211,72 @@ def _residual_terms(r: np.ndarray, d: np.ndarray, src_rot: np.ndarray,
     return loss, dl_dr.sum(axis=0), torque_src, torque_dst
 
 
-def _direction_terms(src: PointCloud, dst: PointCloud, dst_tree: KdTree,
-                     pose_src: Se3Param, pose_dst: Se3Param,
-                     rot_src: np.ndarray, rot_dst: np.ndarray,
-                     cfg: RcdConfig, t: float):
-    """One Chamfer direction: src points matched into dst.
+class _PosedFrame:
+    """A cloud under its pose: the rotation, the rotated points (sensor
+    origin at 0) and the world points, computed once per evaluation."""
 
-    Both clouds are in their sensor frames; the nearest neighbor is found in
-    dst's frame (rigid transforms preserve distances) and the residual is
-    formed in world coordinates. Without normals this is the point-to-point
-    term over all pairs. With normals on both clouds it is
-    beta * point-to-point over all pairs + (1 - beta) * point-to-plane over
-    the kept pairs, each with its own weights, beta = `_point_share`. Like
-    the pairs, beta and the kept set are held fixed within one evaluation.
-    Returns what `_residual_terms` returns.
+    def __init__(self, cloud: PointCloud, pose: Se3Param):
+        self.cloud = cloud
+        self.pose = pose
+        self.rot = so3_exp(pose.phi)
+        self.rotated = cloud.points @ self.rot.T
+        self.world = self.rotated + pose.rho
+
+    def to_sensor(self, world: np.ndarray) -> np.ndarray:
+        """World points in this frame's sensor coordinates, where its
+        kd-tree was built (rigid transforms preserve distances)."""
+        return (world - self.pose.rho) @ self.rot
+
+
+def _direction_terms(src: _PosedFrame, dst: _PosedFrame, idx: np.ndarray,
+                     cfg: RcdConfig, t: float):
+    """One Chamfer direction: src points matched into dst, dst point idx[k]
+    being the nearest neighbor of src point k.
+
+    The residual is formed in world coordinates. Without normals this is
+    the point-to-point term over all pairs. With normals on both clouds it
+    is beta * point-to-point over all pairs + (1 - beta) * point-to-plane
+    over the kept pairs, each with its own weights, beta = `_point_share`.
+    Like the pairs, beta and the kept set are held fixed within one
+    evaluation. Returns what `_residual_terms` returns.
     """
-    src_rot = src.points @ rot_src.T
-    world_src = src_rot + pose_src.rho
-    idx, _ = dst_tree.query_many((world_src - pose_dst.rho) @ rot_dst)
-    dst_rot = dst.points[idx] @ rot_dst.T
-    r = world_src - (dst_rot + pose_dst.rho)           # (N, 3)
+    dst_rot = dst.cloud.points[idx] @ dst.rot.T
+    r = src.world - (dst_rot + dst.pose.rho)           # (N, 3)
     d = np.linalg.norm(r, axis=1)
-    if src.normals is None or dst.normals is None:
-        return _residual_terms(r, d, src_rot, dst_rot, cfg, t)
+    if src.cloud.normals is None or dst.cloud.normals is None:
+        return _residual_terms(r, d, src.rotated, dst_rot, cfg, t)
 
     quartile = _lower_quartile(d)
     beta = _point_share(quartile, cfg.voxel_size)
     total = [0.0, 0.0, 0.0, 0.0]
     if beta > 0.0:
-        terms = _residual_terms(r, d, src_rot, dst_rot, cfg, t)
+        terms = _residual_terms(r, d, src.rotated, dst_rot, cfg, t)
         total = [a + beta * b for a, b in zip(total, terms)]
     if beta < 1.0:
         keep = _keep_pairs(d, quartile, cfg.voxel_size)
-        terms = _residual_terms(r[keep], d[keep], src_rot[keep], dst_rot[keep],
-                                cfg, t, src.normals[keep] @ rot_src.T,
-                                dst.normals[idx[keep]] @ rot_dst.T)
+        terms = _residual_terms(r[keep], d[keep], src.rotated[keep],
+                                dst_rot[keep], cfg, t,
+                                src.cloud.normals[keep] @ src.rot.T,
+                                dst.cloud.normals[idx[keep]] @ dst.rot.T)
         total = [a + (1.0 - beta) * b for a, b in zip(total, terms)]
     return tuple(total)
+
+
+def _edge_terms(p: _PosedFrame, q: _PosedFrame, idx_pq: np.ndarray,
+                idx_qp: np.ndarray, cfg: RcdConfig, t: float):
+    """Both directions of one edge from their nearest-neighbor indices
+    (idx_pq into q for p's points, idx_qp into p for q's points).
+    Returns (loss, grad_xi_p, grad_xi_q) as `robust_chamfer` does."""
+    loss_pq, f_pq, tp_pq, tq_pq = _direction_terms(p, q, idx_pq, cfg, t)
+    loss_qp, f_qp, tq_qp, tp_qp = _direction_terms(q, p, idx_qp, cfg, t)
+
+    grad_p = np.zeros(6)
+    grad_q = np.zeros(6)
+    grad_p[:3] = f_pq - f_qp
+    grad_q[:3] = f_qp - f_pq
+    grad_p[3:] = so3_left_jacobian(p.pose.phi).T @ (tp_pq + tp_qp)
+    grad_q[3:] = so3_left_jacobian(q.pose.phi).T @ (tq_qp + tq_pq)
+    return loss_pq + loss_qp, grad_p, grad_q
 
 
 def robust_chamfer(cloud_p: PointCloud, cloud_q: PointCloud,
@@ -265,21 +294,33 @@ def robust_chamfer(cloud_p: PointCloud, cloud_q: PointCloud,
         raise EmptyCloud("robust_chamfer requires two non-empty clouds")
     tree_p = tree_p if tree_p is not None else KdTree(cloud_p.points)
     tree_q = tree_q if tree_q is not None else KdTree(cloud_q.points)
-    rot_p = so3_exp(xi_p.phi)
-    rot_q = so3_exp(xi_q.phi)
+    p = _PosedFrame(cloud_p, xi_p)
+    q = _PosedFrame(cloud_q, xi_q)
+    idx_pq, _ = tree_q.query_many(q.to_sensor(p.world))
+    idx_qp, _ = tree_p.query_many(p.to_sensor(q.world))
+    return _edge_terms(p, q, idx_pq, idx_qp, cfg, t)
 
-    loss_pq, f_pq, tp_pq, tq_pq = _direction_terms(
-        cloud_p, cloud_q, tree_q, xi_p, xi_q, rot_p, rot_q, cfg, t)
-    loss_qp, f_qp, tq_qp, tp_qp = _direction_terms(
-        cloud_q, cloud_p, tree_p, xi_q, xi_p, rot_q, rot_p, cfg, t)
 
-    grad_p = np.zeros(6)
-    grad_q = np.zeros(6)
-    grad_p[:3] = f_pq - f_qp
-    grad_q[:3] = f_qp - f_pq
-    grad_p[3:] = so3_left_jacobian(xi_p.phi).T @ (tp_pq + tp_qp)
-    grad_q[3:] = so3_left_jacobian(xi_q.phi).T @ (tq_qp + tq_pq)
-    return loss_pq + loss_qp, grad_p, grad_q
+def _graph_correspondences(frames: list[_PosedFrame], graph: FrameGraph,
+                           trees: list[KdTree]) -> dict:
+    """Nearest neighbors for both directions of every edge, with one kd-tree
+    query per destination frame: the points of all its graph neighbors are
+    stacked into one batch. Each neighbor's block is formed on its own, as
+    `robust_chamfer` forms it, so the indices are the same as per-edge
+    queries. Returns {(src, dst): indices into dst's cloud}.
+    """
+    sources: dict[int, list[int]] = {}
+    for i, j in graph.edges:
+        sources.setdefault(j, []).append(i)
+        sources.setdefault(i, []).append(j)
+    pairs = {}
+    for dst, srcs in sources.items():
+        blocks = [frames[dst].to_sensor(frames[s].world) for s in srcs]
+        idx, _ = trees[dst].query_many(np.concatenate(blocks))
+        bounds = np.cumsum([len(b) for b in blocks])[:-1]
+        for s, part in zip(srcs, np.split(idx, bounds)):
+            pairs[s, dst] = part
+    return pairs
 
 
 def graph_loss(clouds: list[PointCloud], poses: list[Se3Param],
@@ -288,7 +329,9 @@ def graph_loss(clouds: list[PointCloud], poses: list[Se3Param],
     """Mean robust Chamfer over all graph edges.
 
     Normalized by n*M - n*(n+1)/2 (the edge count); per-frame gradients are
-    accumulated over incident edges in sorted edge order.
+    accumulated over incident edges in sorted edge order. Every edge gives
+    what `robust_chamfer` gives, bit for bit; the correspondences of all
+    edges come from one pass (`_graph_correspondences`).
     Returns (loss, grads) with grads an (M, 6) array.
     """
     if not (len(clouds) == len(poses) == graph.num_frames):
@@ -298,12 +341,14 @@ def graph_loss(clouds: list[PointCloud], poses: list[Se3Param],
             raise EmptyCloud(f"frame {i} has an empty cloud")
     if trees is None:
         trees = [KdTree(c.points) for c in clouds]
+    frames = [_PosedFrame(c, p) for c, p in zip(clouds, poses)]
+    pairs = _graph_correspondences(frames, graph, trees)
     denom = float(graph_denominator(graph.num_frames, graph.window))
     grads = np.zeros((graph.num_frames, 6))
     total = 0.0
     for i, j in graph.edges:
-        loss, gi, gj = robust_chamfer(clouds[i], clouds[j], poses[i], poses[j],
-                                      cfg, t, tree_p=trees[i], tree_q=trees[j])
+        loss, gi, gj = _edge_terms(frames[i], frames[j], pairs[i, j],
+                                   pairs[j, i], cfg, t)
         total += loss
         grads[i] += gi
         grads[j] += gj

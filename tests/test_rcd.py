@@ -403,6 +403,51 @@ class TestGraphLoss:
                        RcdConfig(), 0.0)
 
 
+def _corridor_session():
+    """The 4-frame test corridor seen by a 16 x 120 scanner, voxel 0.02,
+    window 3: (GeoSession, ground-truth trajectory)."""
+    scanner = ScannerConfig(beams=16, azimuth_steps=120, max_range=1.2,
+                            drop_prob=0.02)
+    scene = make_scene("corridor", 0)
+    gt = make_trajectory("corridor", 4, 0)
+    clouds = [unproject(lidar_scan(scene, gt.poses[i], scanner, seed=i)[0],
+                        scanner) for i in range(4)]
+    return GeoSession(clouds, build_graph(4, 3), RcdConfig(voxel_size=0.02)), gt
+
+
+class TestBatchedCorrespondences:
+    """`graph_loss` queries each frame's tree once for all its neighbors;
+    it must give exactly the per-edge `robust_chamfer` sum."""
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        geo, gt = _corridor_session()
+        init = perturb_poses(gt, 3.0, 0.05, 2)
+        return geo, [Se3Param.from_matrix(p) for p in init.poses]
+
+    @pytest.mark.parametrize("normals", [True, False])
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_equals_per_edge_sum(self, session, normals, t):
+        geo, poses = session
+        clouds = (geo.clouds if normals
+                  else [PointCloud(c.points) for c in geo.clouds])
+        total = 0.0
+        grads = np.zeros((4, 6))
+        for i, j in geo.graph.edges:
+            loss, gi, gj = robust_chamfer(clouds[i], clouds[j], poses[i],
+                                          poses[j], geo.cfg, t,
+                                          tree_p=geo.trees[i],
+                                          tree_q=geo.trees[j])
+            total += loss
+            grads[i] += gi
+            grads[j] += gj
+        n = len(geo.graph.edges)
+        loss, batched = graph_loss(clouds, poses, geo.graph, geo.cfg, t,
+                                   trees=geo.trees)
+        assert np.array_equal(loss, total / n)
+        assert np.array_equal(batched, grads / n)
+
+
 class TestGroundTruthStationary:
     """At ground truth the geometric objective must not push any pose.
 
@@ -419,14 +464,8 @@ class TestGroundTruthStationary:
 
     @pytest.fixture(scope="class")
     def session(self):
-        scanner = ScannerConfig(beams=16, azimuth_steps=120, max_range=1.2,
-                                drop_prob=0.02)
-        scene = make_scene("corridor", 0)
-        gt = make_trajectory("corridor", 4, 0)
-        clouds = [unproject(lidar_scan(scene, gt.poses[i], scanner, seed=i)[0],
-                            scanner) for i in range(4)]
-        poses = [Se3Param.from_matrix(p) for p in gt.poses]
-        return GeoSession(clouds, build_graph(4, 3), RcdConfig(voxel_size=0.02)), poses
+        geo, gt = _corridor_session()
+        return geo, [Se3Param.from_matrix(p) for p in gt.poses]
 
     @pytest.mark.parametrize("t", [0.0, 0.5])
     def test_graph_gradient_vanishes_at_ground_truth(self, session, t):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geonlf import spatial
 from geonlf.cloud import PointCloud
 from geonlf.errors import DegenerateNeighborhood, EmptyCloud, NonPositiveVoxel
 from geonlf.spatial import (KdTree, estimate_normals, normals_at,
@@ -72,6 +73,34 @@ class TestKdTree:
             idx, _ = KdTree(pts).query_many(queries)
             ref = np.array([linear_scan_nearest(pts, q)[0] for q in queries])
             np.testing.assert_array_equal(idx, ref)
+
+    @pytest.mark.parametrize("kind", ["lattice", "random"])
+    def test_tie_rule_for_any_worker_count(self, kind, monkeypatch):
+        # Large enough for a multi-level tree of 64-point leaves, with the
+        # batch split over two threads. On the lattice, half-integer
+        # coordinates make 2-, 4- and 8-way ties; the point order is
+        # shuffled so the lowest index is not the first one found.
+        rng = np.random.default_rng(12)
+        if kind == "lattice":
+            axis = np.arange(13.0)
+            pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                           axis=-1).reshape(-1, 3)
+            pts = pts[rng.permutation(len(pts))]
+            queries = (rng.integers(0, 12, size=(6000, 3))
+                       + rng.choice([0.0, 0.5], size=(6000, 3)))
+        else:
+            pts = rng.normal(size=(3000, 3))
+            queries = rng.normal(size=(3000, 3))
+        ref = [linear_scan_nearest(pts, q) for q in queries]
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(spatial, "query_workers", lambda: workers)
+            idx, dist = KdTree(pts).query_many(queries)
+            np.testing.assert_array_equal(idx, [i for i, _ in ref])
+            np.testing.assert_allclose(dist, [d for _, d in ref], atol=1e-12)
+            results.append((idx, dist))
+        np.testing.assert_array_equal(results[0][0], results[1][0])
+        np.testing.assert_array_equal(results[0][1], results[1][1])
 
     def test_empty_raises(self):
         with pytest.raises(EmptyCloud):
