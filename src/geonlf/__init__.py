@@ -12,14 +12,14 @@ __version__ = "0.1.0"
 
 from .cloud import PointCloud, RangeImage
 from .encoding import EncodingConfig
-from .field import FieldParams, Ray, RenderOutput
+from .field import FieldParams
 from .geometry import Se3Param, Trajectory
 from .rcd import FrameGraph, RcdConfig
 from .scene import Scene, ScannerConfig
 from .trainer import TrainConfig
 
 __all__ = [
-    "PointCloud", "RangeImage", "EncodingConfig", "FieldParams", "Ray",
-    "RenderOutput", "Se3Param", "Trajectory", "FrameGraph", "RcdConfig",
-    "Scene", "ScannerConfig", "TrainConfig", "__version__",
+    "PointCloud", "RangeImage", "EncodingConfig", "FieldParams", "Se3Param",
+    "Trajectory", "FrameGraph", "RcdConfig", "Scene", "ScannerConfig",
+    "TrainConfig", "__version__",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigError, GeonlfError, NonFiniteLoss
-from .formats import (plot_trajectories_svg, read_ply, read_rimg,
+from .formats import (loss_row, plot_trajectories_svg, read_ply, read_rimg,
                       read_trajectory, write_loss_log, write_ply, write_rimg,
                       write_trajectory)
 from .geometry import Se3Param, Trajectory, invert_rigid, se3_decoupled
@@ -113,10 +113,7 @@ def cmd_register(args) -> int:
                          np.array([se3_decoupled(p) for p in poses]))
     write_trajectory(out / "est_traj.txt", est)
     write_loss_log(out / "losses.csv",
-                   [{"iter": i, "phase": "geo", "total": v, "depth": 0.0,
-                     "intensity": 0.0, "raydrop": 0.0, "cd": 0.0,
-                     "normal": 0.0, "alpha": 0.0, "t_temp": 0.0}
-                    for i, v in enumerate(losses)])
+                   [loss_row(i, "geo", v) for i, v in enumerate(losses)])
     print(f"registered {len(clouds)} frames -> {out / 'est_traj.txt'}")
     return 0
 

@@ -1,5 +1,5 @@
-"""Positional encodings: sinusoidal frequencies, multi-level hashed voxel
-grids, tri-planar grids, and the coarse-to-fine level mask.
+"""Positional encodings: multi-level hashed voxel grids, tri-planar grids,
+and the coarse-to-fine level mask.
 
 Each encoder has a batched forward that records a cache, and a backward
 that scatters gradients into the parameter tables and (optionally) returns
@@ -37,7 +37,6 @@ class EncodingConfig:
     hash_table_size: int = 2 ** 15
     planar_resolution: int = 64
     planar_channels: int = 4
-    sinusoidal_levels: int = 4
 
     def __post_init__(self):
         if self.levels < 1:
@@ -83,34 +82,6 @@ def check_domain(x: np.ndarray) -> np.ndarray:
         raise OutOfDomain(
             f"coordinates outside the unit cube: range [{x.min()}, {x.max()}]")
     return np.clip(x, 0.0, 1.0)
-
-
-def sinusoidal_encode(x: np.ndarray, levels: int) -> np.ndarray:
-    """Concatenated (sin, cos) pairs at frequencies 2^(l-1) * pi, l = 1..L.
-
-    A single point maps to a 6L vector; a batch (n, 3) maps to (n, 6L).
-    """
-    single = np.asarray(x).ndim == 1
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    blocks = []
-    for level in range(1, levels + 1):
-        arg = (2.0 ** (level - 1)) * np.pi * x
-        blocks.append(np.sin(arg))
-        blocks.append(np.cos(arg))
-    out = np.concatenate(blocks, axis=1)
-    return out[0] if single else out
-
-
-def masked_sinusoidal_encode(x: np.ndarray, levels: int, alpha: float) -> np.ndarray:
-    """Sinusoidal encoding with each frequency block scaled by its c2f weight."""
-    out = sinusoidal_encode(x, levels)
-    flat = out.ndim == 1
-    out = np.atleast_2d(out).copy()
-    for level in range(levels):
-        w = c2f_weight(alpha, level)
-        if w != 1.0:
-            out[:, 6 * level:6 * (level + 1)] *= w
-    return out[0] if flat else out
 
 
 def c2f_weight(alpha: float, level: int) -> float:
@@ -218,13 +189,6 @@ def hash_encode_backward(cache, upstream: np.ndarray, grad_tables: np.ndarray,
     return dx
 
 
-def hash_encode(x: np.ndarray, tables: np.ndarray, cfg: EncodingConfig) -> np.ndarray:
-    """Single-point or batched hash-grid encoding (forward only)."""
-    single = np.asarray(x).ndim == 1
-    out, _ = hash_encode_forward(x, tables, cfg)
-    return out[0] if single else out
-
-
 _PLANE_AXES = ((0, 1), (0, 2), (1, 2))   # xy, xz, yz
 
 
@@ -293,13 +257,6 @@ def planar_encode_backward(cache, upstream: np.ndarray, grad_planes: np.ndarray,
     return dx
 
 
-def planar_encode(x: np.ndarray, planes: np.ndarray, cfg: EncodingConfig) -> np.ndarray:
-    """Single-point or batched planar encoding (forward only)."""
-    single = np.asarray(x).ndim == 1
-    out, _ = planar_encode_forward(x, planes, cfg)
-    return out[0] if single else out
-
-
 def mask_weights(alpha: float, cfg: EncodingConfig):
     """C2f weights for (hash levels, planar block) under the resolution order."""
     w_hash = np.ones(cfg.levels)
@@ -357,10 +314,3 @@ def encode_backward(cache, upstream: np.ndarray, grad_planes: np.ndarray,
         return None
     return dx_p + dx_h
 
-
-def masked_encoding(x: np.ndarray, planes: np.ndarray, tables: np.ndarray,
-                    cfg: EncodingConfig, alpha: float) -> np.ndarray:
-    """Hybrid planar+hash encoding with the c2f mask applied (forward only)."""
-    single = np.asarray(x).ndim == 1
-    out, _ = encode_forward(x, planes, tables, cfg, alpha)
-    return out[0] if single else out

@@ -19,7 +19,7 @@ from scipy.special import expit
 
 from .encoding import EncodingConfig, encode_backward, encode_forward
 from .errors import ShapeMismatch, TapeMissing
-from .geometry import Se3Param, skew, so3_exp, so3_left_jacobian
+from .geometry import Se3Param, so3_exp, so3_left_jacobian
 
 CHECKPOINT_MAGIC = b"GNLF"
 CHECKPOINT_VERSION = 1
@@ -33,31 +33,6 @@ PARAM_NAMES = ("hash", "planes", "w1", "b1", "w2", "b2",
 def softplus(x: np.ndarray) -> np.ndarray:
     # max(x, 0) + log1p(exp(-|x|)): stable and much faster than logaddexp.
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-@dataclass
-class Ray:
-    origin: np.ndarray
-    direction: np.ndarray
-    t_near: float
-    t_far: float
-
-    def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        self.direction = np.asarray(self.direction, dtype=np.float64).reshape(3)
-        norm = np.linalg.norm(self.direction)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"direction must be unit length, |d| = {norm}")
-        if not self.t_near < self.t_far:
-            raise ValueError("t_near must be < t_far")
-
-
-@dataclass
-class RenderOutput:
-    depth: float
-    intensity: float
-    raydrop_prob: float
-    weights: np.ndarray
 
 
 class FieldParams:
@@ -106,9 +81,6 @@ class FieldParams:
         for g in self.grads.values():
             g *= factor
 
-    def grad_snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.grads.items()}
-
     # -- checkpoint ------------------------------------------------------
 
     def save(self, path: str) -> None:
@@ -119,7 +91,6 @@ class FieldParams:
             "hash_table_size": cfg.hash_table_size,
             "planar_resolution": cfg.planar_resolution,
             "planar_channels": cfg.planar_channels,
-            "sinusoidal_levels": cfg.sinusoidal_levels,
             "hidden_width": self.hidden_width,
         }
         blob = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -143,6 +114,7 @@ class FieldParams:
             blob_len, = struct.unpack("<I", fh.read(4))
             meta = json.loads(fh.read(blob_len).decode("utf-8"))
             hidden = meta.pop("hidden_width")
+            meta.pop("sinusoidal_levels", None)   # written before it was removed
             cfg = EncodingConfig(**meta)
             out = FieldParams(cfg, hidden_width=hidden, dtype=dtype, seed=0)
             for name in PARAM_NAMES:
@@ -175,51 +147,37 @@ def sensor_directions(h: int, w: int, fov_up_deg: float,
     return dirs
 
 
-def ray_from_pixel(row: int, col: int, h: int, w: int, fov_up_deg: float,
-                   fov_down_deg: float, pose: np.ndarray,
-                   t_near: float = 0.05, t_far: float = 1.5) -> Ray:
-    """World-space ray through the center of pixel (row, col)."""
-    theta = 2.0 * np.pi * (col + 0.5) / w - np.pi
-    fov_up = np.deg2rad(fov_up_deg)
-    fov_down = np.deg2rad(fov_down_deg)
-    phi = fov_up - (row + 0.5) / h * (fov_up - fov_down)
-    d_sensor = np.array([np.cos(phi) * np.cos(theta),
-                         np.cos(phi) * np.sin(theta),
-                         np.sin(phi)])
-    pose = np.asarray(pose, dtype=np.float64)
-    return Ray(pose[:3, 3], pose[:3, :3] @ d_sensor, t_near, t_far)
+def _transmittance(tau: np.ndarray) -> np.ndarray:
+    """T_i = exp(-sum_{k<i} tau_k), the light left before each sample."""
+    csum = np.cumsum(tau, axis=1)
+    return np.exp(-np.concatenate(
+        [np.zeros((tau.shape[0], 1), dtype=tau.dtype), csum[:, :-1]], axis=1))
 
 
 def composite(sigma: np.ndarray, delta: np.ndarray, z: np.ndarray,
-              values: np.ndarray | None = None):
+              *values: np.ndarray):
     """Volume-rendering weights and integrals along each ray.
 
-    sigma, delta, z: (n, N). Returns (weights, depth) or
-    (weights, depth, integrated values) when `values` is given.
+    sigma, delta, z and each of `values`: (n, N). Returns (weights, depth,
+    *integrated values), the sums taken in float64.
     Weights are T_i * (1 - exp(-sigma_i * delta_i)) with T_i the
     accumulated transmittance; their sum telescopes to 1 - T_{N+1} <= 1.
     """
     tau = sigma * delta
-    csum = np.cumsum(tau, axis=1)
-    trans = np.exp(-np.concatenate(
-        [np.zeros((tau.shape[0], 1), dtype=tau.dtype), csum[:, :-1]], axis=1))
-    alpha = -np.expm1(-tau)
-    weights = trans * alpha
-    depth = (weights * z).sum(axis=1)
-    if values is None:
-        return weights, depth
-    return weights, depth, (weights * values).sum(axis=1)
+    weights = _transmittance(tau) * -np.expm1(-tau)
+    return (weights, *((weights * v).sum(axis=1, dtype=np.float64)
+                       for v in (z, *values)))
 
 
-def _composite_backward(g_w: np.ndarray, weights: np.ndarray, tau: np.ndarray,
-                        trans: np.ndarray) -> np.ndarray:
+def _composite_backward(g_w: np.ndarray, weights: np.ndarray,
+                        tau: np.ndarray) -> np.ndarray:
     """d loss / d tau given d loss / d weights.
 
     dw_i/dtau_i = T_i exp(-tau_i); dw_i/dtau_k = -w_i for k < i.
     """
     gw = g_w * weights
     suffix = np.flip(np.cumsum(np.flip(gw, axis=1), axis=1), axis=1) - gw
-    return g_w * trans * np.exp(-tau) - suffix
+    return g_w * _transmittance(tau) * np.exp(-tau) - suffix
 
 
 @dataclass
@@ -237,8 +195,6 @@ class RenderTape:
     sigma: np.ndarray       # (n, N)
     s_vals: np.ndarray      # (n, N)
     l_vals: np.ndarray      # (n, N)
-    tau: np.ndarray
-    trans: np.ndarray
     weights: np.ndarray
     drop_logit: np.ndarray  # (n,)
     drop_prob: np.ndarray   # (n,)
@@ -334,32 +290,14 @@ def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
     s_vals = s_flat.reshape(n, num_samples)
     l_vals = l_flat.reshape(n, num_samples)
 
-    tau = sigma * delta
-    csum = np.cumsum(tau, axis=1)
-    trans = np.exp(-np.concatenate([np.zeros((n, 1), dtype=tau.dtype),
-                                    csum[:, :-1]], axis=1))
-    a = -np.expm1(-tau)
-    weights = trans * a
-    depth = (weights * ts).sum(axis=1, dtype=np.float64)
-    intensity = (weights * s_vals).sum(axis=1, dtype=np.float64)
-    drop_logit = (weights * l_vals).sum(axis=1, dtype=np.float64)
+    weights, depth, intensity, drop_logit = composite(sigma, delta, ts,
+                                                      s_vals, l_vals)
     drop_prob = expit(drop_logit)
 
     tape = RenderTape(params, n, num_samples, ts, delta, inside, enc_cache,
-                      mlp_cache, sigma, s_vals, l_vals, tau, trans, weights,
+                      mlp_cache, sigma, s_vals, l_vals, weights,
                       drop_logit, drop_prob, dirs, pose_phi)
     return depth, intensity, drop_prob, tape
-
-
-def render_ray(params: FieldParams, ray: Ray, num_samples: int,
-               alpha: float | None = None,
-               rng: np.random.Generator | None = None) -> tuple[RenderOutput, RenderTape]:
-    """Single-ray wrapper over `render_rays`."""
-    depth, intensity, drop, tape = render_rays(
-        params, ray.origin[None], ray.direction[None], ray.t_near, ray.t_far,
-        num_samples, alpha=alpha, rng=rng)
-    return RenderOutput(float(depth[0]), float(intensity[0]), float(drop[0]),
-                        tape.weights[0].copy()), tape
 
 
 def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
@@ -389,7 +327,7 @@ def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
            + d_logit[:, None] * tape.l_vals)
     d_s = d_intensity[:, None] * tape.weights
     d_l = d_logit[:, None] * tape.weights
-    d_tau = _composite_backward(g_w, tape.weights, tape.tau, tape.trans)
+    d_tau = _composite_backward(g_w, tape.weights, tape.sigma * tape.delta)
     d_sigma = d_tau * tape.delta
 
     d_feats = _mlp_backward(params, tape.mlp_cache, d_sigma.reshape(-1),

@@ -202,6 +202,17 @@ LOSS_COLUMNS = ("iter", "phase", "total", "depth", "intensity", "raydrop",
                 "cd", "normal", "alpha", "t_temp")
 
 
+def loss_row(iteration: int, phase: str, total: float, frame: int = -1,
+             depth: float = 0.0, intensity: float = 0.0, raydrop: float = 0.0,
+             cd: float = 0.0, normal: float = 0.0, alpha: float = 0.0,
+             t_temp: float = 0.0) -> dict:
+    """One `losses.csv` row. The frame id (-1 for geometric steps) is kept
+    for callers; the file omits it."""
+    return {"iter": iteration, "phase": phase, "frame": frame, "total": total,
+            "depth": depth, "intensity": intensity, "raydrop": raydrop,
+            "cd": cd, "normal": normal, "alpha": alpha, "t_temp": t_temp}
+
+
 def write_loss_log(path, rows: list[dict]) -> None:
     lines = [",".join(LOSS_COLUMNS)]
     for row in rows:

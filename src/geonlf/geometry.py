@@ -132,19 +132,11 @@ class Se3Param:
         return Se3Param(t[:3, 3], so3_log(t[:3, :3]))
 
 
-def se3_full_exp(xi: Se3Param) -> np.ndarray:
-    """Full exponential map: rotation block exp([phi]x), translation J @ rho."""
-    t = np.eye(4)
-    t[:3, :3] = so3_exp(xi.phi)
-    t[:3, 3] = so3_left_jacobian(xi.phi) @ xi.rho
-    return t
-
-
 def se3_decoupled(xi: Se3Param) -> np.ndarray:
     """Exponential map with the left Jacobian dropped from the translation.
 
     Rotation about the origin and translation of the origin then update
-    independently; agrees with `se3_full_exp` exactly when phi == 0.
+    independently; agrees with the full exponential exactly when phi == 0.
     """
     t = np.eye(4)
     t[:3, :3] = so3_exp(xi.phi)

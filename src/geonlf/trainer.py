@@ -16,7 +16,9 @@ from .encoding import EncodingConfig
 from .errors import (DegenerateNeighborhood, EmptyBatch, EmptyCloud,
                      NonFiniteLoss)
 from .field import FieldParams, backward, pose_rays, render_rays, sensor_directions
-from .geometry import Se3Param, Trajectory, se3_decoupled, so3_left_jacobian
+from .formats import loss_row
+from .geometry import (Se3Param, Trajectory, se3_decoupled, so3_exp,
+                       so3_left_jacobian)
 from .optim import Adam, exp_decay
 from .rcd import GeoSession, RcdConfig, build_graph, temperature_at
 from .scene import ScannerConfig, unproject
@@ -43,7 +45,6 @@ class TrainConfig:
     lambda_cd: float = 0.5
     top_k: int = 5
     w0_start: float = 0.15
-    w0_end: float = 1.0
     c2f_start: float = 0.1
     c2f_end: float = 0.8
     alt_ratio_start: float = 10.0
@@ -54,7 +55,6 @@ class TrainConfig:
     hidden_width: int = 32
     use_sr: bool = True
     use_geo: bool = True
-    share_pose_adam: bool = False
     seed: int = 0
     rcd: RcdConfig = dc_field(default_factory=RcdConfig)
 
@@ -103,14 +103,13 @@ def reweight_factor(progress: float, w0: float) -> float:
 
 
 def alternation_ratio(progress: float, m1: int = 1, start: float = 10.0,
-                      end: float = 1.0) -> tuple[int, int]:
+                      end: float = 1.0) -> int:
     """Number of geometric epochs m2 to run after every m1 global epochs.
 
     The ratio m2/m1 interpolates start -> end linearly; m2 rounds half-up.
     """
     ratio = start + (end - start) * progress
-    m2 = int(np.floor(m1 * ratio + 0.5))
-    return m1, m2
+    return int(np.floor(m1 * ratio + 0.5))
 
 
 def render_loss(pred: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -210,6 +209,47 @@ def _check_finite(value: float, iteration: int, frame: int, terms: dict):
             iteration=iteration, frame=frame, terms=terms)
 
 
+def _flat_target(img: RangeImage):
+    """Per-pixel (depth, intensity, drop target, valid), flattened."""
+    return (img.depth.reshape(-1), img.intensity.reshape(-1),
+            img.drop_mask().reshape(-1), img.valid.reshape(-1))
+
+
+def render_batch(params: FieldParams, pose: Se3Param, d_sensor: np.ndarray,
+                 pix, scanner: ScannerConfig, cfg: TrainConfig,
+                 alpha: float | None = None,
+                 rng: np.random.Generator | None = None):
+    """Render the pixels `pix` (indices or a slice into the flat sensor
+    directions) from `pose`, sampled as `cfg` says; rng None takes strata
+    midpoints. Returns (origins, dirs, depth, intensity, drop_prob, tape).
+    """
+    origins, dirs = pose_rays(pose, d_sensor[pix])
+    return (origins, dirs, *render_rays(
+        params, origins, dirs, cfg.t_near, scanner.max_range,
+        cfg.samples_per_ray, alpha=alpha, rng=rng, pose_phi=pose.phi))
+
+
+def render_step(params: FieldParams, pose: Se3Param, d_sensor: np.ndarray,
+                target, scanner: ScannerConfig, cfg: TrainConfig,
+                alpha: float | None, rng: np.random.Generator):
+    """The 2D objective at one pose: draw a batch of pixels, render them,
+    score them against the flat `target` with `render_loss`, and run the
+    reverse pass into freshly zeroed field gradients.
+
+    Returns (loss, unweighted terms, pose gradient 6-vector).
+    """
+    pix = rng.choice(d_sensor.shape[0],
+                     size=min(cfg.rays_per_batch, d_sensor.shape[0]),
+                     replace=False)
+    _, _, depth, intens, drop, tape = render_batch(
+        params, pose, d_sensor, pix, scanner, cfg, alpha, rng)
+    loss, comps, (gd, gi, gp) = render_loss(
+        (depth, intens, drop), tuple(t[pix] for t in target),
+        cfg.lambda_depth, cfg.lambda_intensity, cfg.lambda_raydrop)
+    params.zero_grads()
+    return loss, comps, backward(tape, gd, gi, gp)
+
+
 def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
           cfg: TrainConfig, enc_cfg: EncodingConfig | None = None):
     """Run the alternating optimization and return
@@ -236,15 +276,13 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
     h, w = images[0].shape
     d_sensor = sensor_directions(h, w, scanner.fov_up_deg,
                                  scanner.fov_down_deg).reshape(-1, 3)
-    targets = [(img.depth.reshape(-1), img.intensity.reshape(-1),
-                img.drop_mask().reshape(-1), img.valid.reshape(-1))
-               for img in images]
+    targets = [_flat_target(img) for img in images]
 
     graph = build_graph(m, min(cfg.graph_window, m - 1))
     geo = GeoSession(clouds, graph, cfg.rcd, fixed_frame=0) if cfg.use_geo else None
     adam_field = Adam()
     adam_pose = Adam()
-    adam_geo = adam_pose if cfg.share_pose_adam else Adam()
+    adam_geo = Adam()
     tracker = FrameLossTracker(m)
     outliers: set[int] = set()
     top_k = min(cfg.top_k, m - 1)
@@ -266,27 +304,15 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
         alpha = c2f_alpha(progress, cfg, total_levels)
         t_temp = temperature_at(progress, cfg.rcd)
 
-        g_depth, g_int, g_drop_t, valid = targets[frame]
-        pix = rng.choice(h * w, size=min(cfg.rays_per_batch, h * w),
-                         replace=False)
-        origins, dirs = pose_rays(poses[frame], d_sensor[pix])
-        depth, intens, drop, tape = render_rays(
-            params, origins, dirs, cfg.t_near, scanner.max_range,
-            cfg.samples_per_ray, alpha=alpha, rng=rng, pose_phi=poses[frame].phi)
+        loss_r, comps, pose_grad = render_step(
+            params, poses[frame], d_sensor, targets[frame], scanner, cfg,
+            alpha, rng)
 
-        loss_r, comps, (gd, gi, gp) = render_loss(
-            (depth, intens, drop),
-            (g_depth[pix], g_int[pix], g_drop_t[pix], valid[pix]),
-            cfg.lambda_depth, cfg.lambda_intensity, cfg.lambda_raydrop)
-
-        params.zero_grads()
-        pose_grad = backward(tape, gd, gi, gp)
-
-        cd_val = 0.0
-        normal_val = 0.0
+        cd_val = normal_val = 0.0
+        valid = targets[frame][3]
         if cfg.cd_every > 0 and it % cfg.cd_every == 0 and valid.sum() > 16:
             cd_val, normal_val, cd_pose_grad = _cd_step(
-                params, poses[frame], d_sensor, targets[frame], clouds[frame],
+                params, poses[frame], d_sensor, valid, clouds[frame],
                 scanner, cfg, alpha, rng)
             pose_grad = pose_grad + cd_pose_grad
 
@@ -306,35 +332,28 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
                            pose_grad[3:], lr=lr_rot)
 
         tracker.update(frame, loss_r)
-        logs.append({"iter": it, "phase": "global", "frame": frame,
-                     "total": total, "depth": comps["depth"],
-                     "intensity": comps["intensity"],
-                     "raydrop": comps["raydrop"], "cd": cd_val,
-                     "normal": normal_val, "alpha": alpha, "t_temp": t_temp})
+        logs.append(loss_row(it, "global", total, frame, **comps, cd=cd_val,
+                             normal=normal_val, alpha=alpha, t_temp=t_temp))
 
         if (it + 1) % m == 0:
             if tracker.all_seen():
                 outliers = select_outliers(tracker, top_k)
             epoch = (it + 1) // m
             if geo is not None and epoch % cfg.m1 == 0:
-                _, m2 = alternation_ratio(progress, cfg.m1,
-                                          cfg.alt_ratio_start,
-                                          cfg.alt_ratio_end)
+                m2 = alternation_ratio(progress, cfg.m1, cfg.alt_ratio_start,
+                                       cfg.alt_ratio_end)
                 for _ in range(m2):
                     geo_loss = geo.step(poses, t_temp, lr_rot, lr_trans,
                                         adam_geo)
                     _check_finite(geo_loss, it, -1, {"geo": geo_loss})
-                    logs.append({"iter": it, "phase": "geo", "frame": -1,
-                                 "total": geo_loss, "depth": 0.0,
-                                 "intensity": 0.0, "raydrop": 0.0,
-                                 "cd": 0.0, "normal": 0.0, "alpha": alpha,
-                                 "t_temp": t_temp})
+                    logs.append(loss_row(it, "geo", geo_loss, alpha=alpha,
+                                         t_temp=t_temp))
 
     traj = Trajectory(frame_ids, np.array([se3_decoupled(p) for p in poses]))
     return params, traj, logs
 
 
-def _cd_step(params, pose, d_sensor, target, gt_cloud, scanner, cfg, alpha, rng):
+def _cd_step(params, pose, d_sensor, valid, gt_cloud, scanner, cfg, alpha, rng):
     """Render a subsampled batch, form the synthesized world cloud, and
     backpropagate the 3D Chamfer gradient into field and pose; the normal
     constraint is evaluated alongside.
@@ -344,16 +363,11 @@ def _cd_step(params, pose, d_sensor, target, gt_cloud, scanner, cfg, alpha, rng)
     points only (via rendered depth, ray origin, and ray direction).
     Returns (cd value, normal value, pose gradient 6-vector).
     """
-    from .geometry import so3_exp
-
-    _, _, _, valid = target
     valid_idx = np.nonzero(valid)[0]
     take = min(cfg.cd_subsample, valid_idx.shape[0])
     pix = rng.choice(valid_idx, size=take, replace=False)
-    origins, dirs = pose_rays(pose, d_sensor[pix])
-    depth, _, _, tape = render_rays(
-        params, origins, dirs, cfg.t_near, scanner.max_range,
-        cfg.samples_per_ray, alpha=alpha, rng=rng, pose_phi=pose.phi)
+    origins, dirs, depth, _, _, tape = render_batch(
+        params, pose, d_sensor, pix, scanner, cfg, alpha, rng)
     synth_pts = origins + depth[:, None] * dirs
 
     gt_take = min(cfg.cd_subsample, len(gt_cloud))
@@ -392,11 +406,11 @@ def render_full_image(params: FieldParams, pose: Se3Param,
     drop = np.empty(h * w)
     for lo in range(0, h * w, chunk):
         sel = slice(lo, min(lo + chunk, h * w))
-        origins, dirs = pose_rays(pose, d_sensor[sel])
-        d, i, p, _ = render_rays(params, origins, dirs, cfg.t_near,
-                                 scanner.max_range, cfg.samples_per_ray,
-                                 alpha=alpha)
-        depth[sel], intens[sel], drop[sel] = d, i, p
+        # The unused tape stays bound to `_` until the next chunk is
+        # rendered: dropping it first hands its pages back to the OS, and
+        # faulting them in again costs ~15% of the render time.
+        _, _, depth[sel], intens[sel], drop[sel], _ = render_batch(
+            params, pose, d_sensor, sel, scanner, cfg, alpha)
     valid = drop <= 0.5
     return RangeImage(np.where(valid, depth, -1.0).reshape(h, w),
                       np.where(valid, intens, 0.0).reshape(h, w),
@@ -413,11 +427,7 @@ def register_novel_view(params: FieldParams, target: RangeImage,
     h, w = target.shape
     d_sensor = sensor_directions(h, w, scanner.fov_up_deg,
                                  scanner.fov_down_deg).reshape(-1, 3)
-    g_depth = target.depth.reshape(-1)
-    g_int = target.intensity.reshape(-1)
-    g_drop = target.drop_mask().reshape(-1)
-    valid = target.valid.reshape(-1)
-
+    flat = _flat_target(target)
     pose = init_pose.copy()
     rng = np.random.default_rng(seed)
     adam = Adam()
@@ -425,19 +435,9 @@ def register_novel_view(params: FieldParams, target: RangeImage,
         progress = step / max(steps - 1, 1)
         lr_trans = exp_decay(cfg.lr_trans_start, cfg.lr_trans_end, progress)
         lr_rot = exp_decay(cfg.lr_rot_start, cfg.lr_rot_end, progress)
-        pix = rng.choice(h * w, size=min(cfg.rays_per_batch, h * w),
-                         replace=False)
-        origins, dirs = pose_rays(pose, d_sensor[pix])
-        depth, intens, drop, tape = render_rays(
-            params, origins, dirs, cfg.t_near, scanner.max_range,
-            cfg.samples_per_ray, rng=rng, pose_phi=pose.phi)
-        loss, comps, (gd, gi, gp) = render_loss(
-            (depth, intens, drop),
-            (g_depth[pix], g_int[pix], g_drop[pix], valid[pix]),
-            cfg.lambda_depth, cfg.lambda_intensity, cfg.lambda_raydrop)
+        loss, comps, pose_grad = render_step(params, pose, d_sensor, flat,
+                                             scanner, cfg, None, rng)
         _check_finite(loss, step, -1, comps)
-        params.zero_grads()
-        pose_grad = backward(tape, gd, gi, gp)
         adam.step("rho", pose.rho, pose_grad[:3], lr=lr_trans)
         adam.step("phi", pose.phi, pose_grad[3:], lr=lr_rot)
     return pose

@@ -7,6 +7,8 @@ library paths it checks.
 
 import numpy as np
 
+from geonlf.geometry import so3_exp
+
 
 def skew(v):
     x, y, z = v
@@ -55,6 +57,25 @@ def series_se3_exp(rho, phi, terms=20):
             fact *= n
         out += acc / fact
     return out
+
+
+def se3_full_exp(xi):
+    """Full SE(3) exponential of an Se3Param: rotation exp([phi]x), and
+    translation V rho with V = I + (1 - cos t)/t^2 [phi]x
+    + (t - sin t)/t^3 [phi]x^2 in closed form, t = |phi|. The library's
+    decoupled map drops V. The rotation block is the library's so3_exp, so
+    that it compares bit for bit with `se3_decoupled`."""
+    phi = np.asarray(xi.phi, float)
+    theta = np.linalg.norm(phi)
+    v = np.eye(3)
+    if theta > 0.0:
+        k = skew(phi)
+        v = (v + (1.0 - np.cos(theta)) / theta ** 2 * k
+             + (theta - np.sin(theta)) / theta ** 3 * (k @ k))
+    t = np.eye(4)
+    t[:3, :3] = so3_exp(phi)
+    t[:3, 3] = v @ np.asarray(xi.rho, float)
+    return t
 
 
 def linear_scan_nearest(points, query):

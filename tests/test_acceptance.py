@@ -19,7 +19,7 @@ from geonlf.formats import (plot_trajectories_svg, read_ply, read_rimg,
                             read_trajectory, write_ply, write_rimg,
                             write_trajectory)
 from geonlf.geometry import (Se3Param, Trajectory, rotation_angle,
-                             se3_decoupled, se3_full_exp, so3_exp)
+                             se3_decoupled, so3_exp)
 from geonlf.metrics import chamfer_fscore, image_metrics, pose_metrics
 from geonlf.rcd import (RcdConfig, build_graph, correspondence_weights,
                         geo_optimize, graph_denominator, graph_loss,
@@ -28,7 +28,8 @@ from geonlf.scene import (ScannerConfig, lidar_scan, make_scene,
                           make_trajectory, perturb_poses)
 from geonlf.trainer import (TrainConfig, FrameLossTracker, reweight_factor,
                             render_loss, select_outliers, train)
-from oracles import brute_chamfer, brute_fscore, numeric_gradient, series_se3_exp
+from oracles import (brute_chamfer, brute_fscore, numeric_gradient,
+                     se3_full_exp, series_se3_exp)
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -264,13 +265,13 @@ def test_criterion_8_selective_reweighting():
         tgt = (dep + 0.1, intens - 0.05, drop * 0.0 + 0.4, np.ones(64, bool))
         _, _, (gd, gi, gp) = render_loss((dep, intens, drop), tgt, 1.0, 1.0, 0.5)
         pg = backward(tape, gd, gi, gp)
-        return params.grad_snapshot(), pg
+        return {k: g.copy() for k, g in params.grads.items()}, pg
 
     plain, pose_plain = batch()
     again, pose_again = batch()
     factor = reweight_factor(0.4, 0.15)
     params.scale_grads(factor)
-    scaled = params.grad_snapshot()
+    scaled = {k: g.copy() for k, g in params.grads.items()}
     exact = all(np.array_equal(factor * plain[k], scaled[k]) or
                 np.allclose(factor * plain[k], scaled[k], rtol=1e-15, atol=0)
                 for k in plain)

@@ -60,3 +60,11 @@ class TestRunConfig:
     def test_constructor_rejects_unknown(self):
         with pytest.raises(ConfigError):
             RunConfig({"nope.nope": 1})
+
+    def test_removed_keys_rejected(self):
+        # These keys changed no number and are gone; a gen.cfg written
+        # while they existed must have them deleted.
+        for key in ("train.w0_end", "train.share_pose_adam",
+                    "field.sinusoidal_levels"):
+            with pytest.raises(ConfigError):
+                RunConfig.parse(f"{key} = 1\n")

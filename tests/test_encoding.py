@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geonlf.encoding import (EncodingConfig, c2f_weight, check_domain,
-                             encode_backward, encode_forward, hash_encode,
+                             encode_backward, encode_forward,
                              hash_encode_backward, hash_encode_forward,
-                             mask_weights, masked_encoding,
-                             masked_sinusoidal_encode, planar_encode,
-                             planar_encode_backward, planar_encode_forward,
-                             sinusoidal_encode)
+                             mask_weights, planar_encode_backward,
+                             planar_encode_forward)
 from geonlf.errors import OutOfDomain
 from oracles import (hash_corner_indices, numeric_gradient,
                      reference_hash_backward, reference_hash_encode)
@@ -29,40 +27,22 @@ def make_tables(cfg, seed=0):
     return tables, planes
 
 
-class TestSinusoidal:
-    def test_zero_point(self):
-        out = sinusoidal_encode(np.zeros(3), 4)
-        assert out.shape == (24,)
-        for level in range(4):
-            block = out[6 * level:6 * (level + 1)]
-            np.testing.assert_array_equal(block[:3], 0.0)
-            np.testing.assert_array_equal(block[3:], 1.0)
+def _forward_only(forward, x, *args):
+    """Features of one point (3,) or a batch (n, 3), without the cache."""
+    out, _ = forward(x, *args)
+    return out[0] if np.asarray(x).ndim == 1 else out
 
-    def test_first_level_at_one(self):
-        out = sinusoidal_encode(np.array([1.0, 0.0, 0.0]), 1)
-        np.testing.assert_allclose(out[0], np.sin(np.pi), atol=1e-15)
-        np.testing.assert_allclose(out[3], -1.0, atol=1e-12)
 
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(0)
-        x = rng.uniform(size=3)
-        out = sinusoidal_encode(x, 5)
-        expected = np.concatenate(
-            [np.concatenate([np.sin(2.0 ** (l - 1) * np.pi * x),
-                             np.cos(2.0 ** (l - 1) * np.pi * x)])
-             for l in range(1, 6)])
-        np.testing.assert_allclose(out, expected, atol=1e-15)
+def hash_encode(x, tables, cfg):
+    return _forward_only(hash_encode_forward, x, tables, cfg)
 
-    def test_masked_variant(self):
-        x = np.random.default_rng(1).uniform(size=3)
-        full = sinusoidal_encode(x, 3)
-        np.testing.assert_array_equal(masked_sinusoidal_encode(x, 3, 3.0), full)
-        np.testing.assert_array_equal(masked_sinusoidal_encode(x, 3, 0.0),
-                                      np.zeros(18))
-        half = masked_sinusoidal_encode(x, 3, 1.5)
-        np.testing.assert_array_equal(half[:6], full[:6])
-        np.testing.assert_allclose(half[6:12], 0.5 * full[6:12])
-        np.testing.assert_array_equal(half[12:], np.zeros(6))
+
+def planar_encode(x, planes, cfg):
+    return _forward_only(planar_encode_forward, x, planes, cfg)
+
+
+def masked_encoding(x, planes, tables, cfg, alpha):
+    return _forward_only(encode_forward, x, planes, tables, cfg, alpha)
 
 
 class TestC2fWeight:

@@ -1,12 +1,15 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from geonlf.encoding import EncodingConfig
 from geonlf.errors import TapeMissing
-from geonlf.field import (FieldParams, Ray, backward, composite, pose_rays,
-                          ray_from_pixel, render_ray, render_rays,
+from geonlf.field import (CHECKPOINT_MAGIC, PARAM_NAMES, FieldParams, backward,
+                          composite, pose_rays, render_rays,
                           sensor_directions)
-from geonlf.geometry import Se3Param, se3_decoupled, so3_exp
+from geonlf.geometry import Se3Param
 from oracles import numeric_gradient
 
 TINY = EncodingConfig(levels=2, base_resolution=4, growth=1.5,
@@ -66,33 +69,26 @@ class TestCompositing:
 
 
 class TestRays:
-    def test_ray_validation(self):
-        with pytest.raises(ValueError):
-            Ray(np.zeros(3), [1.0, 1.0, 0.0], 0.1, 1.0)
-        with pytest.raises(ValueError):
-            Ray(np.zeros(3), [1.0, 0.0, 0.0], 1.0, 0.5)
-
     def test_center_pixel_zero_elevation(self):
         # rows map fov_up..fov_down; zero elevation at 1/4 from the top
         # with fov +10/-30
         h, w = 4, 8
-        ray = ray_from_pixel(0, 3, h, w, 10.0, -30.0, np.eye(4))
+        direction = sensor_directions(h, w, 10.0, -30.0)[0, 3]
         # row 0 center: phi = 10 - 0.5/4*40 = 5 degrees
-        assert abs(np.degrees(np.arcsin(ray.direction[2])) - 5.0) < 1e-9
+        assert abs(np.degrees(np.arcsin(direction[2])) - 5.0) < 1e-9
 
     def test_row_monotone_elevation(self):
         h, w = 16, 32
-        zs = [ray_from_pixel(r, 0, h, w, 10.0, -30.0, np.eye(4)).direction[2]
-              for r in range(h)]
+        zs = sensor_directions(h, w, 10.0, -30.0)[:, 0, 2]
         assert (np.diff(zs) < 0).all()
 
     def test_pose_rotates_direction(self):
-        pose = se3_decoupled(Se3Param([0.2, 0.1, 0.3], [0.0, 0.0, 0.7]))
-        base = ray_from_pixel(2, 5, 8, 16, 10.0, -30.0, np.eye(4))
-        moved = ray_from_pixel(2, 5, 8, 16, 10.0, -30.0, pose)
-        np.testing.assert_allclose(moved.direction,
-                                   pose[:3, :3] @ base.direction, atol=1e-12)
-        np.testing.assert_allclose(moved.origin, [0.2, 0.1, 0.3])
+        pose = Se3Param([0.2, 0.1, 0.3], [0.0, 0.0, 0.7])
+        base = sensor_directions(8, 16, 10.0, -30.0)[2, 5]
+        origins, dirs = pose_rays(pose, base[None])
+        np.testing.assert_allclose(dirs[0], pose.matrix()[:3, :3] @ base,
+                                   atol=1e-12)
+        np.testing.assert_allclose(origins[0], [0.2, 0.1, 0.3])
 
     def test_sensor_directions_unit(self):
         dirs = sensor_directions(8, 16, 10.0, -30.0)
@@ -123,11 +119,12 @@ class TestRender:
 
     def test_render_ray_output_shape(self):
         params = tiny_params()
-        ray = Ray([0.5, 0.5, 0.5], [1.0, 0.0, 0.0], 0.05, 0.45)
-        out, tape = render_ray(params, ray, 8)
-        assert out.weights.shape == (8,)
-        assert 0.0 <= out.raydrop_prob <= 1.0
-        assert out.weights.sum() <= 1.0 + 1e-9
+        depth, intens, drop, tape = render_rays(
+            params, [[0.5, 0.5, 0.5]], [[1.0, 0.0, 0.0]], 0.05, 0.45, 8)
+        assert depth.shape == intens.shape == drop.shape == (1,)
+        assert tape.weights.shape == (1, 8)
+        assert 0.0 <= drop[0] <= 1.0
+        assert tape.weights.sum() <= 1.0 + 1e-9
 
     def test_weight_invariants_many_rays(self):
         params = tiny_params(seed=3)
@@ -256,6 +253,27 @@ class TestCheckpoint:
         a = render_rays(params, origins, dirs, 0.05, 0.4, 8)[0]
         b = render_rays(loaded, origins, dirs, 0.05, 0.4, 8)[0]
         np.testing.assert_array_equal(a, b)
+
+    def test_loads_layout_with_sinusoidal_levels(self, tmp_path):
+        # Checkpoints written while the encoding config still carried the
+        # unused `sinusoidal_levels` key have it in their metadata.
+        params = FieldParams(TINY, hidden_width=8, dtype=np.float32, seed=5)
+        meta = {"levels": 2, "base_resolution": 4, "growth": 1.5,
+                "features_per_level": 2, "hash_table_size": 2 ** 8,
+                "planar_resolution": 8, "planar_channels": 3,
+                "sinusoidal_levels": 4, "hidden_width": 8}
+        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+        path = tmp_path / "old.gnlf"
+        with open(path, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(blob)))
+            fh.write(blob)
+            for name in PARAM_NAMES:
+                fh.write(params.params[name].astype("<f4").tobytes())
+        loaded = FieldParams.load(path)
+        assert loaded.cfg == TINY and loaded.hidden_width == 8
+        for name in PARAM_NAMES:
+            np.testing.assert_array_equal(loaded.params[name],
+                                          params.params[name])
 
     def test_magic_guard(self, tmp_path):
         bad = tmp_path / "bad.gnlf"

@@ -7,9 +7,10 @@ from geonlf.cloud import PointCloud
 from geonlf.errors import DegenerateConfiguration, FrameMismatch
 from geonlf.geometry import (Se3Param, Trajectory, align_trajectory,
                              canonicalize_phi, invert_rigid, se3_decoupled,
-                             se3_full_exp, so3_exp, so3_left_jacobian,
-                             so3_log, transform_points)
-from oracles import series_se3_exp, series_so3_exp, series_so3_left_jacobian
+                             so3_exp, so3_left_jacobian, so3_log,
+                             transform_points)
+from oracles import (se3_full_exp, series_se3_exp, series_so3_exp,
+                     series_so3_left_jacobian)
 
 RNG = np.random.default_rng(7)
 

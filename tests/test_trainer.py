@@ -4,18 +4,20 @@ import pytest
 from geonlf.cloud import PointCloud, RangeImage
 from geonlf.encoding import EncodingConfig
 from geonlf.errors import EmptyBatch, EmptyCloud, NonFiniteLoss
-from geonlf.field import FieldParams, backward, pose_rays, render_rays
-from geonlf.geometry import Se3Param, Trajectory, rotation_angle, se3_decoupled
+from geonlf.field import (FieldParams, backward, pose_rays, render_rays,
+                          sensor_directions)
+from geonlf.geometry import (Se3Param, Trajectory, rotation_angle,
+                             se3_decoupled, so3_exp)
 from geonlf.metrics import pose_metrics
 from geonlf.rcd import RcdConfig
 from geonlf.scene import (ScannerConfig, lidar_scan, make_scene,
-                          make_trajectory, perturb_poses)
-from geonlf.trainer import (FrameLossTracker, TrainConfig, alternation_ratio,
-                            c2f_alpha, cd_loss_3d, normal_loss,
-                            register_novel_view, render_full_image,
-                            render_loss, reweight_factor, select_outliers,
-                            train)
-from oracles import brute_chamfer
+                          make_trajectory, perturb_poses, unproject)
+from geonlf.trainer import (FrameLossTracker, TrainConfig, _cd_step,
+                            alternation_ratio, c2f_alpha, cd_loss_3d,
+                            normal_loss, register_novel_view,
+                            render_full_image, render_loss, reweight_factor,
+                            select_outliers, train)
+from oracles import brute_chamfer, numeric_gradient
 
 TINY_ENC = EncodingConfig(levels=3, base_resolution=8, growth=1.6,
                           features_per_level=2, hash_table_size=2 ** 12,
@@ -153,13 +155,62 @@ class TestCdLoss:
             t2 = ((b - av[i_ba]) ** 2).sum(axis=1).mean()
             return t1 + t2
 
-        from oracles import numeric_gradient
         fd = numeric_gradient(frozen_loss, a.ravel(), h=1e-7).reshape(20, 3)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
     def test_empty(self):
         with pytest.raises(EmptyCloud):
             cd_loss_3d(PointCloud(np.zeros((0, 3))), PointCloud([[0.0] * 3]))
+
+
+class TestCdStepGradient:
+    """The pose gradient of the 3D Chamfer step, with the ground-truth
+    cloud held fixed in the world, against central differences."""
+
+    def test_pose_gradient_matches_fd(self):
+        scanner = ScannerConfig(beams=8, azimuth_steps=48, max_range=1.2)
+        # A wall square to a beam column scans to mirror-image point pairs,
+        # which tie as nearest neighbours of every point rendered along that
+        # column: a kink of the Chamfer distance. A yaw of 0.2 rad turns
+        # the corridor walls away from every column.
+        scan_pose = make_trajectory("corridor", 2, 0).poses[0].copy()
+        scan_pose[:3, :3] = so3_exp([0.0, 0.0, 0.2]) @ scan_pose[:3, :3]
+        image, _ = lidar_scan(make_scene("corridor", 0), scan_pose, scanner,
+                              seed=0)
+        gt_cloud = unproject(image, scanner)
+        d_sensor = sensor_directions(8, 48, scanner.fov_up_deg,
+                                     scanner.fov_down_deg).reshape(-1, 3)
+        valid = image.valid.reshape(-1)
+        params = FieldParams(TINY_ENC, hidden_width=16, dtype=np.float64,
+                             seed=3)
+        rng = np.random.default_rng(4)
+        for name in ("hash", "planes"):
+            params.params[name] = rng.normal(
+                scale=0.5, size=params.params[name].shape)
+        cfg = small_cfg(samples_per_ray=8, cd_subsample=64)
+        true_pose = Se3Param.from_matrix(scan_pose)
+        pose = Se3Param(true_pose.rho + [0.01, -0.02, 0.005],
+                        true_pose.phi + [0.02, -0.01, 0.03])
+
+        def cd_step(at, cloud):
+            # The same seed draws the same pixels, jitter and target subset.
+            return _cd_step(params, at, d_sensor, valid, cloud, scanner, cfg,
+                            None, np.random.default_rng(9))
+
+        _, _, pose_grad = cd_step(pose, gt_cloud)
+        world = gt_cloud.points @ so3_exp(pose.phi).T + pose.rho
+
+        def value(v):
+            at = Se3Param(v[:3], v[3:])
+            # _cd_step places the cloud at `at`; undo that so the target
+            # stays where it was at the base pose.
+            local = PointCloud((world - at.rho) @ so3_exp(at.phi))
+            return cfg.lambda_cd * cd_step(at, local)[0]
+
+        fd = numeric_gradient(value, np.concatenate([pose.rho, pose.phi]),
+                              h=1e-6)
+        assert np.abs(fd).max() > 1e-3
+        np.testing.assert_allclose(pose_grad, fd, rtol=1e-4, atol=1e-8)
 
 
 class TestNormalLoss:
@@ -220,9 +271,9 @@ class TestSelectionAndSchedules:
         np.testing.assert_allclose(reweight_factor(0.5, 0.15), 0.575)
 
     def test_alternation_ratio(self):
-        assert alternation_ratio(0.0, 1) == (1, 10)
-        assert alternation_ratio(1.0, 1) == (1, 1)
-        assert alternation_ratio(0.5, 1) == (1, 6)  # round(5.5) half-up
+        assert alternation_ratio(0.0, 1) == 10
+        assert alternation_ratio(1.0, 1) == 1
+        assert alternation_ratio(0.5, 1) == 6  # round(5.5) half-up
 
     def test_c2f_alpha_schedule(self):
         cfg = TrainConfig(iterations=10)
@@ -259,13 +310,13 @@ class TestSrMechanics:
             _, _, (gd, gi, gp) = render_loss((depth, intens, drop), tgt,
                                              1.0, 1.0, 0.5)
             pose_grad = backward(tape, gd, gi, gp)
-            return params.grad_snapshot(), pose_grad
+            return {k: g.copy() for k, g in params.grads.items()}, pose_grad
 
         plain, pose_plain = batch_grads()
         factor = reweight_factor(0.3, 0.15)
         scaled, pose_scaled = batch_grads()
         params.scale_grads(factor)
-        after = params.grad_snapshot()
+        after = {k: g.copy() for k, g in params.grads.items()}
 
         np.testing.assert_array_equal(pose_plain, pose_scaled)
         for name in plain:
