@@ -25,7 +25,7 @@ import numpy as np
 from .errors import OutOfDomain
 
 DOMAIN_EPS = 1e-6
-HASH_PRIMES = (np.uint64(1), np.uint64(2654435761), np.uint64(805459861))
+HASH_PRIMES = (np.uint32(1), np.uint32(2654435761), np.uint32(805459861))
 
 
 @dataclass
@@ -113,8 +113,9 @@ def hash_encode_forward(x: np.ndarray, tables: np.ndarray, cfg: EncodingConfig):
     Level l scales x by its cell count r_l (the corner lattice has r_l + 1
     sites per axis). Corner (i, j, k) of a cell reads row l*T + h of the
     flattened (L*T, F) table, h = (i*p1 xor j*p2 xor k*p3) & (T - 1) in
-    wrapping uint64 arithmetic; the products are formed once per axis and
-    all levels are gathered at once.
+    wrapping uint32 arithmetic (the low bits kept by the mask are those of
+    the exact products); the products are formed once per axis and all
+    levels are gathered at once.
     Returns (features (n, L*F), cache). The cache holds, level-major, the
     flat rows `idx` (L, n, 8), the corner `weights` (L, n, 8), the gathered
     `vals` (L, n, 8, F), and the cell offsets `frac` (3, L, n) and
@@ -132,16 +133,17 @@ def hash_encode_forward(x: np.ndarray, tables: np.ndarray, cfg: EncodingConfig):
     weights = _per_corner(np.multiply, *zip(one, frac),
                           out=np.empty((levels, n, 8), dtype=x.dtype))
 
-    base = floor.astype(np.uint64)                            # in [0, r_l]
-    mask = np.uint64(t - 1)
-    # (a xor b) & m == (a & m) xor (b & m); the level offset sits above m.
-    keys = [[((base[a] + np.uint64(b)) * HASH_PRIMES[a]) & mask
+    base = floor.astype(np.uint32)                            # in [0, r_l]
+    mask = np.uint32(t - 1)
+    # (a xor b) & m == (a & m) xor (b & m)
+    keys = [[((base[a] + np.uint32(b)) * HASH_PRIMES[a]) & mask
              for b in (0, 1)] for a in range(3)]
-    offset = (np.arange(levels, dtype=np.uint64) * np.uint64(t))[:, None]
-    keys[0] = [k | offset for k in keys[0]]
-    idx = _per_corner(np.bitwise_xor, *keys,
-                      out=np.empty((levels, n, 8), dtype=np.uint64)
-                      ).view(np.int64)
+    rows = _per_corner(np.bitwise_xor, *keys,
+                       out=np.empty((levels, n, 8), dtype=np.uint32))
+    # Adding the level offsets also widens the rows: take and bincount are
+    # slower on 32-bit indices.
+    idx = np.add(rows, (np.arange(levels, dtype=np.int64) * t)[:, None, None],
+                 dtype=np.int64)
 
     vals = np.take(tables.reshape(levels * t, f), idx, axis=0)  # (L, n, 8, F)
     features = (weights[..., None, :] @ vals)[:, :, 0, :]
@@ -150,26 +152,28 @@ def hash_encode_forward(x: np.ndarray, tables: np.ndarray, cfg: EncodingConfig):
     return features.transpose(1, 0, 2).reshape(n, levels * f), cache
 
 
-def hash_encode_backward(cache, upstream: np.ndarray, grad_tables: np.ndarray,
-                         cfg: EncodingConfig, need_dx: bool = True):
+def hash_encode_backward(cache, upstream: np.ndarray,
+                         grad_tables: np.ndarray | None, cfg: EncodingConfig,
+                         need_dx: bool = True):
     """Scatter upstream feature gradients into the tables; return d/dx.
 
     The scatter is one bincount per channel over the flat rows of all
-    levels. Only when need_dx is set are the weight gradients (n, 8, 3)
-    rebuilt, level by level, from the cached `frac` and `res`; otherwise
-    the result is None.
+    levels; grad_tables None skips it. Only when need_dx is set are the
+    weight gradients (n, 8, 3) rebuilt, level by level, from the cached
+    `frac` and `res`; otherwise the result is None.
     """
     weights, vals, frac = cache["weights"], cache["vals"], cache["frac"]
     levels, n = weights.shape[:2]
     f = cfg.features_per_level
     dy = upstream.reshape(n, levels, f).transpose(1, 0, 2)    # (L, n, F)
-    flat_idx = cache["idx"].reshape(-1)
-    size = levels * grad_tables.shape[1]
-    for ch in range(f):
-        contrib = weights * dy[:, :, ch, None]                # (L, n, 8)
-        grad_tables[:, :, ch] += np.bincount(
-            flat_idx, weights=contrib.reshape(-1),
-            minlength=size).reshape(levels, -1)
+    if grad_tables is not None:
+        flat_idx = cache["idx"].reshape(-1)
+        size = levels * grad_tables.shape[1]
+        for ch in range(f):
+            contrib = weights * dy[:, :, ch, None]            # (L, n, 8)
+            grad_tables[:, :, ch] += np.bincount(
+                flat_idx, weights=contrib.reshape(-1),
+                minlength=size).reshape(levels, -1)
     if not need_dx:
         return None
     one = 1.0 - frac
@@ -222,7 +226,7 @@ def planar_encode_forward(x: np.ndarray, planes: np.ndarray, cfg: EncodingConfig
         uv = x[:, (au, av)]
         flat, weights, frac = _bilinear_setup(uv, m)
         table = planes[p].reshape(m * m, -1)                       # (M*M, C)
-        vals = table[flat]                                         # (n, 4, C)
+        vals = np.take(table, flat, axis=0)                        # (n, 4, C)
         samples.append((weights[:, None, :] @ vals)[:, 0, :])
         cache_planes.append((flat, weights, frac, vals, au, av))
     features = samples[0] * samples[1] * samples[2]
@@ -230,23 +234,26 @@ def planar_encode_forward(x: np.ndarray, planes: np.ndarray, cfg: EncodingConfig
                       "n": x.shape[0]}
 
 
-def planar_encode_backward(cache, upstream: np.ndarray, grad_planes: np.ndarray,
+def planar_encode_backward(cache, upstream: np.ndarray,
+                           grad_planes: np.ndarray | None,
                            cfg: EncodingConfig, need_dx: bool = True):
-    """Product rule across the three planes, then bilinear scatter; the
-    weight gradients du, dv come from the cached offsets when need_dx."""
+    """Product rule across the three planes, then bilinear scatter (skipped
+    when grad_planes is None); the weight gradients du, dv come from the
+    cached offsets when need_dx."""
     m = cfg.planar_resolution
     s0, s1, s2 = cache["samples"]
     others = [s1 * s2, s0 * s2, s0 * s1]
     dx = np.zeros((cache["n"], 3), dtype=upstream.dtype) if need_dx else None
     for p, (flat, weights, frac, vals, au, av) in enumerate(cache["planes"]):
         dsample = upstream * others[p]                             # (n, C)
-        contrib = weights[:, :, None] * dsample[:, None, :]        # (n, 4, C)
-        flat_all = flat.reshape(-1)
-        gp = grad_planes[p].reshape(m * m, -1)
-        for ch in range(gp.shape[1]):
-            gp[:, ch] += np.bincount(flat_all,
-                                     weights=contrib[:, :, ch].reshape(-1),
-                                     minlength=m * m)
+        if grad_planes is not None:
+            contrib = weights[:, :, None] * dsample[:, None, :]    # (n, 4, C)
+            flat_all = flat.reshape(-1)
+            gp = grad_planes[p].reshape(m * m, -1)
+            for ch in range(gp.shape[1]):
+                gp[:, ch] += np.bincount(flat_all,
+                                         weights=contrib[:, :, ch].reshape(-1),
+                                         minlength=m * m)
         if need_dx:
             fu, fv = frac[:, 0], frac[:, 1]
             du = np.stack([-(1 - fv), (1 - fv), -fv, fv], axis=1) * (m - 1)
@@ -296,10 +303,12 @@ def encode_forward(x: np.ndarray, planes: np.ndarray, tables: np.ndarray,
     return features, cache
 
 
-def encode_backward(cache, upstream: np.ndarray, grad_planes: np.ndarray,
-                    grad_tables: np.ndarray, cfg: EncodingConfig,
+def encode_backward(cache, upstream: np.ndarray,
+                    grad_planes: np.ndarray | None,
+                    grad_tables: np.ndarray | None, cfg: EncodingConfig,
                     need_dx: bool = True):
-    """Backward of `encode_forward`; returns d/dx or None."""
+    """Backward of `encode_forward`; returns d/dx or None. Gradient
+    buffers given as None receive nothing (a frozen field)."""
     c = cfg.planar_channels
     up_planar = upstream[:, :c] * float(cache["w_planar"])
     up_hash = upstream[:, c:].copy()

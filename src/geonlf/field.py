@@ -32,7 +32,14 @@ PARAM_NAMES = ("hash", "planes", "w1", "b1", "w2", "b2",
 
 def softplus(x: np.ndarray) -> np.ndarray:
     # max(x, 0) + log1p(exp(-|x|)): stable and much faster than logaddexp.
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    # The chain runs in place in one buffer; IEEE addition commutes, so the
+    # result equals the two-temporary form bit for bit.
+    out = np.abs(x)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 class FieldParams:
@@ -223,32 +230,34 @@ def _mlp_forward(params: FieldParams, feats: np.ndarray):
 
 
 def _mlp_backward(params: FieldParams, cache: dict, d_sigma: np.ndarray,
-                  d_s: np.ndarray, d_drop: np.ndarray) -> np.ndarray:
+                  d_s: np.ndarray, d_drop: np.ndarray,
+                  field_grads: bool) -> np.ndarray:
+    """d loss / d features; accumulates the weight and bias gradients into
+    params.grads only when `field_grads` is set."""
     p, g = params.params, params.grads
     d_sig_pre = d_sigma * expit(cache["sig_pre"])
     d_int_pre = d_s * cache["s_val"] * (1.0 - cache["s_val"])
     d_heads = np.stack([d_sig_pre, d_int_pre, d_drop], axis=1)   # (n, 3)
-    h2 = cache["h2"]
-
-    # Parameter-gradient reductions run in float64 even when the
-    # activations are float32.
-    head_grads = h2.T.astype(np.float64) @ d_heads.astype(np.float64)
-    g["w_sigma"] += head_grads[:, 0]
-    g["w_int"] += head_grads[:, 1]
-    g["w_drop"] += head_grads[:, 2]
-    bias = d_heads.sum(axis=0, dtype=np.float64)
-    g["b_sigma"] += bias[0]
-    g["b_int"] += bias[1]
-    g["b_drop"] += bias[2]
-
     d_h2 = d_heads @ cache["w_heads"].T
     d_h2_pre = d_h2 * expit(cache["h2_pre"])
-    g["w2"] += cache["h1"].T.astype(np.float64) @ d_h2_pre.astype(np.float64)
-    g["b2"] += d_h2_pre.sum(axis=0, dtype=np.float64)
     d_h1 = d_h2_pre @ p["w2"].T
     d_h1_pre = d_h1 * expit(cache["h1_pre"])
-    g["w1"] += cache["feats"].T.astype(np.float64) @ d_h1_pre.astype(np.float64)
-    g["b1"] += d_h1_pre.sum(axis=0, dtype=np.float64)
+
+    if field_grads:
+        # Parameter-gradient reductions run in float64 even when the
+        # activations are float32.
+        head_grads = cache["h2"].T.astype(np.float64) @ d_heads.astype(np.float64)
+        g["w_sigma"] += head_grads[:, 0]
+        g["w_int"] += head_grads[:, 1]
+        g["w_drop"] += head_grads[:, 2]
+        bias = d_heads.sum(axis=0, dtype=np.float64)
+        g["b_sigma"] += bias[0]
+        g["b_int"] += bias[1]
+        g["b_drop"] += bias[2]
+        g["w2"] += cache["h1"].T.astype(np.float64) @ d_h2_pre.astype(np.float64)
+        g["b2"] += d_h2_pre.sum(axis=0, dtype=np.float64)
+        g["w1"] += cache["feats"].T.astype(np.float64) @ d_h1_pre.astype(np.float64)
+        g["b1"] += d_h1_pre.sum(axis=0, dtype=np.float64)
     return d_h1_pre @ p["w1"].T
 
 
@@ -301,9 +310,13 @@ def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
 
 
 def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
-             d_drop_prob: np.ndarray) -> np.ndarray:
+             d_drop_prob: np.ndarray, field_grads: bool = True) -> np.ndarray:
     """Reverse pass: accumulates into tape.params.grads, returns the pose
     gradient as a 6-vector (d rho, d phi).
+
+    With `field_grads` False the field is treated as frozen: params.grads
+    is left untouched, and neither the table scatters nor the MLP weight
+    reductions run. The pose gradient is the same bit for bit.
 
     The pose enters through ray origin and direction: x_i = o + t_i * R d.
     Gradients through clamped sample coordinates are zero. When the tape
@@ -331,9 +344,11 @@ def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
     d_sigma = d_tau * tape.delta
 
     d_feats = _mlp_backward(params, tape.mlp_cache, d_sigma.reshape(-1),
-                            d_s.reshape(-1), d_l.reshape(-1))
-    dx = encode_backward(tape.enc_cache, d_feats, params.grads["planes"],
-                         params.grads["hash"], params.cfg, need_dx=True)
+                            d_s.reshape(-1), d_l.reshape(-1), field_grads)
+    tables = ((params.grads["planes"], params.grads["hash"]) if field_grads
+              else (None, None))
+    dx = encode_backward(tape.enc_cache, d_feats, *tables, params.cfg,
+                         need_dx=True)
     dx = (dx * tape.inside).reshape(n, m, 3)
 
     pose_grad = np.zeros(6)

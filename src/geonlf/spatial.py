@@ -4,7 +4,7 @@ voxel-grid downsampling, and PCA normal estimation.
 Nearest-neighbor search is exact (no approximation) so correspondence-based
 gradients and the test oracles agree deterministically. The kd-tree is
 provided by scipy; a repair pass enforces the lowest-index tie rule on top
-of it. Every query is split over the CPUs the process may run on
+of it. Every large query is split over the CPUs the process may run on
 (`query_workers`); each query point is answered on its own, so results do
 not depend on the thread count.
 """
@@ -21,9 +21,24 @@ from .cloud import PointCloud
 from .errors import DegenerateNeighborhood, EmptyCloud, NonPositiveVoxel
 
 
-def query_workers() -> int:
-    """Threads for one batched kd-tree query: the CPUs in this process's
-    affinity mask (so a `taskset` cap is honoured), else the CPU count."""
+# A batched query that asks for fewer neighbours than this in all
+# (queries x k) runs on one thread: scipy starts its threads on every call,
+# and below this size that costs more than the split saves. Measured on a
+# 2-CPU host (median of 60 interleaved calls, corridor scans of the default
+# scanner): k = 2 from 2,048-point trees took 4.2 / 5.1 ms for 2,048
+# queries on 1 / 2 threads, 8.1 / 8.1 ms for 4,096 and 12.5 / 9.4 ms for
+# 8,192; k = 12 took 2.0 / 2.0 ms for 512 queries and 4.2 / 3.6 ms for
+# 1,024.
+SERIAL_NEIGHBOURS = 8192
+
+
+def query_workers(neighbours: int) -> int:
+    """Threads for one batched kd-tree query returning `neighbours`
+    neighbours in all: one below SERIAL_NEIGHBOURS, else the CPUs in this
+    process's affinity mask (so a `taskset` cap is honoured), else the CPU
+    count."""
+    if neighbours < SERIAL_NEIGHBOURS:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:             # no affinity API on this platform
@@ -62,8 +77,8 @@ class KdTree:
         Returns (indices (M,), distances (M,)).
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        workers = query_workers()
         k = min(2, len(self))
+        workers = query_workers(len(queries) * k)
         dist, idx = self._tree.query(queries, k=k, workers=workers)
         if k == 1:
             return idx.reshape(-1).astype(np.int64), dist.reshape(-1)
@@ -157,7 +172,8 @@ def estimate_normals(cloud: PointCloud, k: int = 12,
     # Leaf size 16, unlike KdTree: when the k-th and (k+1)-th neighbors tie,
     # which one a k-NN query returns depends on the tree's layout.
     tree = cKDTree(cloud.points, leafsize=16)
-    _, nn_idx = tree.query(cloud.points, k=k, workers=query_workers())
+    _, nn_idx = tree.query(cloud.points, k=k,
+                           workers=query_workers(len(cloud) * k))
     normals, degenerate = _pca_normals(cloud.points[nn_idx])
     if degenerate.any():
         warnings.warn(f"{int(degenerate.sum())} degenerate normal neighborhoods; "
@@ -180,7 +196,7 @@ def normals_at(cloud: PointCloud, sites: PointCloud, k: int = 12) -> PointCloud:
     if len(cloud) <= k:
         raise EmptyCloud(f"need more than k={k} points, got {len(cloud)}")
     _, nn_idx = cKDTree(cloud.points, leafsize=16).query(
-        sites.points, k=k, workers=query_workers())
+        sites.points, k=k, workers=query_workers(len(sites) * k))
     normals, degenerate = _pca_normals(cloud.points[nn_idx])
     kept = sites.subset(~degenerate)
     return PointCloud(kept.points, kept.intensity,

@@ -25,6 +25,12 @@ from .scene import ScannerConfig, unproject
 from .spatial import KdTree, estimate_normals
 
 
+# Samples per chunk of a full-image render: one default training batch
+# (1024 rays x 64 samples), so a render's tape is no larger than a training
+# step's (~110 MB in float32) whatever the image size.
+RENDER_CHUNK_SAMPLES = 65_536
+
+
 @dataclass
 class TrainConfig:
     iterations: int = 2000
@@ -231,10 +237,12 @@ def render_batch(params: FieldParams, pose: Se3Param, d_sensor: np.ndarray,
 
 def render_step(params: FieldParams, pose: Se3Param, d_sensor: np.ndarray,
                 target, scanner: ScannerConfig, cfg: TrainConfig,
-                alpha: float | None, rng: np.random.Generator):
+                alpha: float | None, rng: np.random.Generator,
+                field_grads: bool):
     """The 2D objective at one pose: draw a batch of pixels, render them,
     score them against the flat `target` with `render_loss`, and run the
-    reverse pass into freshly zeroed field gradients.
+    reverse pass. With `field_grads` the field gradients are zeroed and
+    filled; without, the field is frozen and params.grads is not touched.
 
     Returns (loss, unweighted terms, pose gradient 6-vector).
     """
@@ -246,8 +254,9 @@ def render_step(params: FieldParams, pose: Se3Param, d_sensor: np.ndarray,
     loss, comps, (gd, gi, gp) = render_loss(
         (depth, intens, drop), tuple(t[pix] for t in target),
         cfg.lambda_depth, cfg.lambda_intensity, cfg.lambda_raydrop)
-    params.zero_grads()
-    return loss, comps, backward(tape, gd, gi, gp)
+    if field_grads:
+        params.zero_grads()
+    return loss, comps, backward(tape, gd, gi, gp, field_grads)
 
 
 def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
@@ -306,7 +315,7 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
 
         loss_r, comps, pose_grad = render_step(
             params, poses[frame], d_sensor, targets[frame], scanner, cfg,
-            alpha, rng)
+            alpha, rng, field_grads=True)
 
         cd_val = normal_val = 0.0
         valid = targets[frame][3]
@@ -393,24 +402,30 @@ def _cd_step(params, pose, d_sensor, valid, gt_cloud, scanner, cfg, alpha, rng):
 
 
 def render_full_image(params: FieldParams, pose: Se3Param,
-                      scanner: ScannerConfig, cfg: TrainConfig,
-                      alpha: float | None = None,
-                      chunk: int = 4096) -> RangeImage:
-    """Deterministic (midpoint-sampled) render of every pixel; pixels with
-    drop probability above 0.5 are marked invalid."""
+                      scanner: ScannerConfig, cfg: TrainConfig) -> RangeImage:
+    """Deterministic (midpoint-sampled) render of every pixel with every
+    encoding level active; pixels with drop probability above 0.5 are
+    marked invalid.
+
+    Rays go through `render_batch` in chunks of RENDER_CHUNK_SAMPLES
+    samples, so peak memory does not grow with the image size.
+    """
     h, w = scanner.beams, scanner.azimuth_steps
     d_sensor = sensor_directions(h, w, scanner.fov_up_deg,
                                  scanner.fov_down_deg).reshape(-1, 3)
     depth = np.empty(h * w)
     intens = np.empty(h * w)
     drop = np.empty(h * w)
+    chunk = max(RENDER_CHUNK_SAMPLES // cfg.samples_per_ray, 1)
     for lo in range(0, h * w, chunk):
         sel = slice(lo, min(lo + chunk, h * w))
-        # The unused tape stays bound to `_` until the next chunk is
-        # rendered: dropping it first hands its pages back to the OS, and
-        # faulting them in again costs ~15% of the render time.
+        # The unused tape stays bound to `_` until the next chunk has been
+        # rendered, so the heap keeps its pages. Freed first, they are
+        # trimmed and faulted in again: on a 32x360 default render that is
+        # ~160k instead of ~31k minor faults, and 0.47 s instead of 0.13 s
+        # of system time.
         _, _, depth[sel], intens[sel], drop[sel], _ = render_batch(
-            params, pose, d_sensor, sel, scanner, cfg, alpha)
+            params, pose, d_sensor, sel, scanner, cfg)
     valid = drop <= 0.5
     return RangeImage(np.where(valid, depth, -1.0).reshape(h, w),
                       np.where(valid, intens, 0.0).reshape(h, w),
@@ -436,7 +451,8 @@ def register_novel_view(params: FieldParams, target: RangeImage,
         lr_trans = exp_decay(cfg.lr_trans_start, cfg.lr_trans_end, progress)
         lr_rot = exp_decay(cfg.lr_rot_start, cfg.lr_rot_end, progress)
         loss, comps, pose_grad = render_step(params, pose, d_sensor, flat,
-                                             scanner, cfg, None, rng)
+                                             scanner, cfg, None, rng,
+                                             field_grads=False)
         _check_finite(loss, step, -1, comps)
         adam.step("rho", pose.rho, pose_grad[:3], lr=lr_trans)
         adam.step("phi", pose.phi, pose_grad[3:], lr=lr_rot)

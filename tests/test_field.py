@@ -8,7 +8,7 @@ from geonlf.encoding import EncodingConfig
 from geonlf.errors import TapeMissing
 from geonlf.field import (CHECKPOINT_MAGIC, PARAM_NAMES, FieldParams, backward,
                           composite, pose_rays, render_rays,
-                          sensor_directions)
+                          sensor_directions, softplus)
 from geonlf.geometry import Se3Param
 from oracles import numeric_gradient
 
@@ -30,6 +30,20 @@ def tiny_params(seed=0, dtype=np.float64, scale=0.5):
         params.params[k] = params.params[k].astype(dtype)
         params.grads[k] = np.zeros(params.params[k].shape)
     return params
+
+
+class TestSoftplus:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_reference_and_keeps_input(self, dtype):
+        rng = np.random.default_rng(0)
+        x = (rng.normal(scale=20.0, size=(300, 32))).astype(dtype)
+        x[0, :6] = [0.0, -0.0, 1e-30, -1e-30, -800.0, 800.0]
+        before = x.copy()
+        out = softplus(x)
+        ref = np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out.view(np.uint8), ref.view(np.uint8))
+        np.testing.assert_array_equal(x.view(np.uint8), before.view(np.uint8))
 
 
 class TestCompositing:

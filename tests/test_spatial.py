@@ -94,7 +94,8 @@ class TestKdTree:
         ref = [linear_scan_nearest(pts, q) for q in queries]
         results = []
         for workers in (1, 2):
-            monkeypatch.setattr(spatial, "query_workers", lambda: workers)
+            monkeypatch.setattr(spatial, "query_workers",
+                                lambda neighbours: workers)
             idx, dist = KdTree(pts).query_many(queries)
             np.testing.assert_array_equal(idx, [i for i, _ in ref])
             np.testing.assert_allclose(dist, [d for _, d in ref], atol=1e-12)

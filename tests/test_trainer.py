@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from geonlf import trainer
 from geonlf.cloud import PointCloud, RangeImage
 from geonlf.encoding import EncodingConfig
 from geonlf.errors import EmptyBatch, EmptyCloud, NonFiniteLoss
@@ -13,10 +16,11 @@ from geonlf.rcd import RcdConfig
 from geonlf.scene import (ScannerConfig, lidar_scan, make_scene,
                           make_trajectory, perturb_poses, unproject)
 from geonlf.trainer import (FrameLossTracker, TrainConfig, _cd_step,
-                            alternation_ratio, c2f_alpha, cd_loss_3d,
-                            normal_loss, register_novel_view,
-                            render_full_image, render_loss, reweight_factor,
-                            select_outliers, train)
+                            _flat_target, alternation_ratio, c2f_alpha,
+                            cd_loss_3d, normal_loss, register_novel_view,
+                            render_batch, render_full_image, render_loss,
+                            render_step, reweight_factor, select_outliers,
+                            train)
 from oracles import brute_chamfer, numeric_gradient
 
 TINY_ENC = EncodingConfig(levels=3, base_resolution=8, growth=1.6,
@@ -163,6 +167,17 @@ class TestCdLoss:
             cd_loss_3d(PointCloud(np.zeros((0, 3))), PointCloud([[0.0] * 3]))
 
 
+def _textured_params(dtype=np.float32, seed=3):
+    """A small field with tables far from their near-zero initialisation,
+    so that depth, intensity and ray drop vary from ray to ray."""
+    params = FieldParams(TINY_ENC, hidden_width=16, dtype=dtype, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for name in ("hash", "planes"):
+        params.params[name] = rng.normal(
+            scale=0.5, size=params.params[name].shape).astype(dtype)
+    return params
+
+
 class TestCdStepGradient:
     """The pose gradient of the 3D Chamfer step, with the ground-truth
     cloud held fixed in the world, against central differences."""
@@ -181,12 +196,7 @@ class TestCdStepGradient:
         d_sensor = sensor_directions(8, 48, scanner.fov_up_deg,
                                      scanner.fov_down_deg).reshape(-1, 3)
         valid = image.valid.reshape(-1)
-        params = FieldParams(TINY_ENC, hidden_width=16, dtype=np.float64,
-                             seed=3)
-        rng = np.random.default_rng(4)
-        for name in ("hash", "planes"):
-            params.params[name] = rng.normal(
-                scale=0.5, size=params.params[name].shape)
+        params = _textured_params(np.float64)
         cfg = small_cfg(samples_per_ray=8, cd_subsample=64)
         true_pose = Se3Param.from_matrix(scan_pose)
         pose = Se3Param(true_pose.rho + [0.01, -0.02, 0.005],
@@ -211,6 +221,79 @@ class TestCdStepGradient:
                               h=1e-6)
         assert np.abs(fd).max() > 1e-3
         np.testing.assert_allclose(pose_grad, fd, rtol=1e-4, atol=1e-8)
+
+
+class TestRenderFullImage:
+    POSE = Se3Param([0.45, 0.5, 0.3], [0.0, 0.0, 0.3])
+
+    def test_chunks_equal_one_batch(self, monkeypatch):
+        params = _textured_params()
+        cfg = small_cfg()
+        n_pix = SMALL_SCANNER.beams * SMALL_SCANNER.azimuth_steps
+        monkeypatch.setattr(trainer, "RENDER_CHUNK_SAMPLES",
+                            cfg.samples_per_ray * 500)
+        assert n_pix > 3 * 500
+        out = render_full_image(params, self.POSE, SMALL_SCANNER, cfg)
+        d_sensor = sensor_directions(
+            SMALL_SCANNER.beams, SMALL_SCANNER.azimuth_steps,
+            SMALL_SCANNER.fov_up_deg, SMALL_SCANNER.fov_down_deg
+        ).reshape(-1, 3)
+        _, _, depth, intens, drop, _ = render_batch(
+            params, self.POSE, d_sensor, slice(None), SMALL_SCANNER, cfg)
+        valid = drop <= 0.5
+        assert 0 < valid.sum() < n_pix
+        shape = out.shape
+        np.testing.assert_array_equal(out.valid, valid.reshape(shape))
+        np.testing.assert_array_equal(
+            out.depth, np.where(valid, depth, -1.0).reshape(shape))
+        np.testing.assert_array_equal(
+            out.intensity, np.where(valid, intens, 0.0).reshape(shape))
+
+    def test_peak_memory_independent_of_image_size(self):
+        params = _textured_params()
+        cfg = TrainConfig(hidden_width=16)
+
+        def peak(beams):
+            scanner = ScannerConfig(beams=beams, azimuth_steps=360)
+            tracemalloc.start()
+            try:
+                render_full_image(params, self.POSE, scanner, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(8), peak(32)
+        assert large <= 1.15 * small, (small, large)
+
+
+class TestPoseOnlyBackward:
+    def test_pose_gradient_equal_and_grads_untouched(self):
+        images, gt, _ = make_dataset(frames=3)
+        params = _textured_params()
+        cfg = small_cfg()
+        d_sensor = sensor_directions(
+            SMALL_SCANNER.beams, SMALL_SCANNER.azimuth_steps,
+            SMALL_SCANNER.fov_up_deg, SMALL_SCANNER.fov_down_deg
+        ).reshape(-1, 3)
+        target = _flat_target(images[1])
+        pose = Se3Param.from_matrix(gt.poses[1])
+        pose.rho += [0.01, -0.01, 0.005]
+
+        def step(field_grads):
+            return render_step(params, pose, d_sensor, target, SMALL_SCANNER,
+                               cfg, None, np.random.default_rng(5),
+                               field_grads=field_grads)
+
+        loss_full, comps_full, grad_full = step(True)
+        assert all(np.abs(g).max() > 0 for g in params.grads.values())
+        for g in params.grads.values():
+            g[...] = 7.0
+        loss, comps, grad = step(False)
+        assert np.abs(grad_full).max() > 0
+        np.testing.assert_array_equal(grad, grad_full)
+        assert loss == loss_full and comps == comps_full
+        for g in params.grads.values():
+            np.testing.assert_array_equal(g, 7.0)
 
 
 class TestNormalLoss:
