@@ -238,14 +238,12 @@ def _mlp_backward(params: FieldParams, cache: dict, d_sigma: np.ndarray,
     d_sig_pre = d_sigma * expit(cache["sig_pre"])
     d_int_pre = d_s * cache["s_val"] * (1.0 - cache["s_val"])
     d_heads = np.stack([d_sig_pre, d_int_pre, d_drop], axis=1)   # (n, 3)
-    d_h2 = d_heads @ cache["w_heads"].T
-    d_h2_pre = d_h2 * expit(cache["h2_pre"])
-    d_h1 = d_h2_pre @ p["w2"].T
-    d_h1_pre = d_h1 * expit(cache["h1_pre"])
 
+    # Parameter-gradient reductions run in float64 even when the
+    # activations are float32. Each runs as soon as its inputs exist, so
+    # that its float64 copies are not alive next to the later layers'
+    # activation gradients.
     if field_grads:
-        # Parameter-gradient reductions run in float64 even when the
-        # activations are float32.
         head_grads = cache["h2"].T.astype(np.float64) @ d_heads.astype(np.float64)
         g["w_sigma"] += head_grads[:, 0]
         g["w_int"] += head_grads[:, 1]
@@ -254,8 +252,15 @@ def _mlp_backward(params: FieldParams, cache: dict, d_sigma: np.ndarray,
         g["b_sigma"] += bias[0]
         g["b_int"] += bias[1]
         g["b_drop"] += bias[2]
+
+    d_h2 = d_heads @ cache["w_heads"].T
+    d_h2_pre = d_h2 * expit(cache["h2_pre"])
+    if field_grads:
         g["w2"] += cache["h1"].T.astype(np.float64) @ d_h2_pre.astype(np.float64)
         g["b2"] += d_h2_pre.sum(axis=0, dtype=np.float64)
+    d_h1 = d_h2_pre @ p["w2"].T
+    d_h1_pre = d_h1 * expit(cache["h1_pre"])
+    if field_grads:
         g["w1"] += cache["feats"].T.astype(np.float64) @ d_h1_pre.astype(np.float64)
         g["b1"] += d_h1_pre.sum(axis=0, dtype=np.float64)
     return d_h1_pre @ p["w1"].T
