@@ -2,8 +2,8 @@
 and the coarse-to-fine level mask.
 
 Each encoder has a batched forward that records a cache, and a backward
-that scatters gradients into the parameter tables and (optionally) returns
-gradients with respect to the input positions. Gradients accumulate in
+that scatters gradients into the parameter tables and returns gradients
+with respect to the input positions. Gradients accumulate in
 float64 regardless of the table dtype.
 
 The hash grid follows Instant-NGP: the 8 corners of a point's cell at each
@@ -11,9 +11,8 @@ level hash to rows of a power-of-two table T by
 (i*p1 xor j*p2 xor k*p3) & (T - 1), and all levels are gathered from the
 flattened table at once. The forward caches the corner rows, weights and
 gathered values plus the cell offsets `frac`, not the weight gradients;
-the backward rebuilds those from `frac` only when it returns d/dx, so a
-forward-only caller never computes them. The planar encoder caches its
-offsets the same way.
+the backward rebuilds those from `frac`, so a forward-only caller never
+computes them. The planar encoder caches its offsets the same way.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ def hash_encode_forward(x: np.ndarray, tables: np.ndarray, cfg: EncodingConfig):
     flat rows `idx` (L, n, 8), the corner `weights` (L, n, 8), the gathered
     `vals` (L, n, 8, F), and the cell offsets `frac` (3, L, n) and
     resolutions `res` (L,) from which the backward rebuilds the weight
-    gradients when it needs dx.
+    gradients.
     """
     x = check_domain(x)
     n = x.shape[0]
@@ -153,14 +152,12 @@ def hash_encode_forward(x: np.ndarray, tables: np.ndarray, cfg: EncodingConfig):
 
 
 def hash_encode_backward(cache, upstream: np.ndarray,
-                         grad_tables: np.ndarray | None, cfg: EncodingConfig,
-                         need_dx: bool = True):
+                         grad_tables: np.ndarray | None, cfg: EncodingConfig):
     """Scatter upstream feature gradients into the tables; return d/dx.
 
     The scatter is one bincount per channel over the flat rows of all
-    levels; grad_tables None skips it. Only when need_dx is set are the
-    weight gradients (n, 8, 3) rebuilt, level by level, from the cached
-    `frac` and `res`; otherwise the result is None.
+    levels; grad_tables None skips it. The weight gradients (n, 8, 3) are
+    rebuilt, level by level, from the cached `frac` and `res`.
     """
     weights, vals, frac = cache["weights"], cache["vals"], cache["frac"]
     levels, n = weights.shape[:2]
@@ -174,8 +171,6 @@ def hash_encode_backward(cache, upstream: np.ndarray,
             grad_tables[:, :, ch] += np.bincount(
                 flat_idx, weights=contrib.reshape(-1),
                 minlength=size).reshape(levels, -1)
-    if not need_dx:
-        return None
     one = 1.0 - frac
     wgrads = np.empty((n, 8, 3), dtype=frac.dtype)
     dx = np.zeros((n, 3), dtype=upstream.dtype)
@@ -236,14 +231,14 @@ def planar_encode_forward(x: np.ndarray, planes: np.ndarray, cfg: EncodingConfig
 
 def planar_encode_backward(cache, upstream: np.ndarray,
                            grad_planes: np.ndarray | None,
-                           cfg: EncodingConfig, need_dx: bool = True):
+                           cfg: EncodingConfig):
     """Product rule across the three planes, then bilinear scatter (skipped
     when grad_planes is None); the weight gradients du, dv come from the
-    cached offsets when need_dx."""
+    cached offsets."""
     m = cfg.planar_resolution
     s0, s1, s2 = cache["samples"]
     others = [s1 * s2, s0 * s2, s0 * s1]
-    dx = np.zeros((cache["n"], 3), dtype=upstream.dtype) if need_dx else None
+    dx = np.zeros((cache["n"], 3), dtype=upstream.dtype)
     for p, (flat, weights, frac, vals, au, av) in enumerate(cache["planes"]):
         dsample = upstream * others[p]                             # (n, C)
         if grad_planes is not None:
@@ -254,13 +249,12 @@ def planar_encode_backward(cache, upstream: np.ndarray,
                 gp[:, ch] += np.bincount(flat_all,
                                          weights=contrib[:, :, ch].reshape(-1),
                                          minlength=m * m)
-        if need_dx:
-            fu, fv = frac[:, 0], frac[:, 1]
-            du = np.stack([-(1 - fv), (1 - fv), -fv, fv], axis=1) * (m - 1)
-            dv = np.stack([-(1 - fu), -fu, (1 - fu), fu], axis=1) * (m - 1)
-            val_dot = (vals @ dsample[:, :, None])[:, :, 0]        # (n, 4)
-            dx[:, au] += (val_dot * du).sum(axis=1)
-            dx[:, av] += (val_dot * dv).sum(axis=1)
+        fu, fv = frac[:, 0], frac[:, 1]
+        du = np.stack([-(1 - fv), (1 - fv), -fv, fv], axis=1) * (m - 1)
+        dv = np.stack([-(1 - fu), -fu, (1 - fu), fu], axis=1) * (m - 1)
+        val_dot = (vals @ dsample[:, :, None])[:, :, 0]            # (n, 4)
+        dx[:, au] += (val_dot * du).sum(axis=1)
+        dx[:, av] += (val_dot * dv).sum(axis=1)
     return dx
 
 
@@ -305,21 +299,16 @@ def encode_forward(x: np.ndarray, planes: np.ndarray, tables: np.ndarray,
 
 def encode_backward(cache, upstream: np.ndarray,
                     grad_planes: np.ndarray | None,
-                    grad_tables: np.ndarray | None, cfg: EncodingConfig,
-                    need_dx: bool = True):
-    """Backward of `encode_forward`; returns d/dx or None. Gradient
-    buffers given as None receive nothing (a frozen field)."""
+                    grad_tables: np.ndarray | None, cfg: EncodingConfig):
+    """Backward of `encode_forward`; returns d/dx. Gradient buffers given
+    as None receive nothing (a frozen field)."""
     c = cfg.planar_channels
     up_planar = upstream[:, :c] * float(cache["w_planar"])
     up_hash = upstream[:, c:].copy()
     f = cfg.features_per_level
     for level in range(cfg.levels):
         up_hash[:, level * f:(level + 1) * f] *= cache["w_hash"][level]
-    dx_p = planar_encode_backward(cache["planar"], up_planar, grad_planes,
-                                  cfg, need_dx)
-    dx_h = hash_encode_backward(cache["hash"], up_hash, grad_tables,
-                                cfg, need_dx)
-    if not need_dx:
-        return None
+    dx_p = planar_encode_backward(cache["planar"], up_planar, grad_planes, cfg)
+    dx_h = hash_encode_backward(cache["hash"], up_hash, grad_tables, cfg)
     return dx_p + dx_h
 

@@ -267,30 +267,29 @@ def _mlp_backward(params: FieldParams, cache: dict, d_sigma: np.ndarray,
 
 
 def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
-                t_near, t_far, num_samples: int, alpha: float | None = None,
+                t_near: float, t_far: float, num_samples: int,
+                alpha: float | None = None,
                 rng: np.random.Generator | None = None,
                 pose_phi: np.ndarray | None = None):
     """Batched volume rendering of depth / intensity / ray-drop.
 
-    Samples are stratified uniform in [t_near, t_far] (deterministic strata
-    midpoints when rng is None). Positions outside the unit cube are
-    clamped for the encoders; clamped coordinates pass no gradient back to
-    the pose. Returns (depth, intensity, drop_prob, tape).
+    Samples are stratified uniform in [t_near, t_far], one range for every
+    ray (deterministic strata midpoints when rng is None). Positions
+    outside the unit cube are clamped for the encoders; clamped coordinates
+    pass no gradient back to the pose. Returns (depth, intensity,
+    drop_prob, tape).
     """
     dtype = params.dtype
     origins = np.atleast_2d(np.asarray(origins, dtype=dtype))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=dtype))
     n = origins.shape[0]
-    near = np.broadcast_to(np.asarray(t_near, dtype=np.float64), (n,))
-    far = np.broadcast_to(np.asarray(t_far, dtype=np.float64), (n,))
 
     jitter = (np.full((n, num_samples), 0.5) if rng is None
               else rng.random((n, num_samples)))
     frac = (np.arange(num_samples) + jitter) / num_samples
-    ts = (near[:, None] + frac * (far - near)[:, None]).astype(dtype)
+    ts = (t_near + frac * (t_far - t_near)).astype(dtype)
     delta = np.diff(ts, axis=1)
-    delta = np.concatenate([delta, far[:, None].astype(dtype) - ts[:, -1:]],
-                           axis=1)
+    delta = np.concatenate([delta, dtype.type(t_far) - ts[:, -1:]], axis=1)
 
     x = origins[:, None, :] + ts[:, :, None] * dirs[:, None, :]
     x_flat = x.reshape(-1, 3)
@@ -352,8 +351,7 @@ def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
                             d_s.reshape(-1), d_l.reshape(-1), field_grads)
     tables = ((params.grads["planes"], params.grads["hash"]) if field_grads
               else (None, None))
-    dx = encode_backward(tape.enc_cache, d_feats, *tables, params.cfg,
-                         need_dx=True)
+    dx = encode_backward(tape.enc_cache, d_feats, *tables, params.cfg)
     dx = (dx * tape.inside).reshape(n, m, 3)
 
     pose_grad = np.zeros(6)

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import PointCloud
 from .errors import DegenerateConfiguration, FrameMismatch
 
 # Below this rotation magnitude the closed-form sinc-like coefficients are
@@ -121,10 +120,6 @@ class Se3Param:
     def copy(self) -> "Se3Param":
         return Se3Param(self.rho.copy(), self.phi.copy())
 
-    def matrix(self) -> np.ndarray:
-        """World transform under the decoupled convention."""
-        return se3_decoupled(self)
-
     @staticmethod
     def from_matrix(t: np.ndarray) -> "Se3Param":
         """Inverse of se3_decoupled: rho is the raw translation column."""
@@ -142,15 +137,6 @@ def se3_decoupled(xi: Se3Param) -> np.ndarray:
     t[:3, :3] = so3_exp(xi.phi)
     t[:3, 3] = xi.rho
     return t
-
-
-def transform_points(t: np.ndarray, cloud: PointCloud) -> PointCloud:
-    """Apply a rigid transform; normals rotate, intensities carry over."""
-    t = np.asarray(t, dtype=np.float64)
-    rot, trans = t[:3, :3], t[:3, 3]
-    pts = cloud.points @ rot.T + trans
-    normals = None if cloud.normals is None else cloud.normals @ rot.T
-    return PointCloud(pts, cloud.intensity, normals)
 
 
 def invert_rigid(t: np.ndarray) -> np.ndarray:
@@ -200,15 +186,15 @@ class Trajectory:
         return Trajectory(list(self.frame_ids), self.poses.copy())
 
 
-def align_trajectory(estimate: Trajectory, reference: Trajectory,
-                     with_scale: bool = False):
-    """Closed-form least-squares alignment of the translation components.
+def align_trajectory(estimate: Trajectory, reference: Trajectory):
+    """Closed-form least-squares rigid alignment of the translation
+    components.
 
-    Umeyama construction: finds (s, R, t) minimizing
-    sum_i || s * R @ p_est_i + t - p_ref_i ||^2, with s fixed to 1 unless
-    `with_scale`. The transform is applied to every pose of `estimate`.
+    Umeyama construction without scale: finds (R, t) minimizing
+    sum_i || R @ p_est_i + t - p_ref_i ||^2. The transform is applied to
+    every pose of `estimate`.
 
-    Returns (aligned: Trajectory, transform: 4x4, scale: float).
+    Returns (aligned: Trajectory, transform: 4x4).
     Raises DegenerateConfiguration for coincident or collinear positions.
     """
     if estimate.frame_ids != reference.frame_ids:
@@ -225,24 +211,19 @@ def align_trajectory(estimate: Trajectory, reference: Trajectory,
             "positions are coincident or collinear; alignment is not unique")
 
     cov = yc.T @ xc / n
-    u, d, vt = np.linalg.svd(cov)
+    u, _, vt = np.linalg.svd(cov)
     s_fix = np.eye(3)
     if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
         s_fix[2, 2] = -1.0
     rot = u @ s_fix @ vt
-    if with_scale:
-        var_x = (xc ** 2).sum() / n
-        scale = float(np.trace(np.diag(d) @ s_fix) / var_x)
-    else:
-        scale = 1.0
-    trans = my - scale * rot @ mx
+    trans = my - rot @ mx
 
     aligned = np.empty_like(estimate.poses)
     for i, pose in enumerate(estimate.poses):
         aligned[i] = np.eye(4)
         aligned[i][:3, :3] = rot @ pose[:3, :3]
-        aligned[i][:3, 3] = scale * rot @ pose[:3, 3] + trans
+        aligned[i][:3, 3] = rot @ pose[:3, 3] + trans
     transform = np.eye(4)
     transform[:3, :3] = rot
     transform[:3, 3] = trans
-    return Trajectory(list(estimate.frame_ids), aligned), transform, scale
+    return Trajectory(list(estimate.frame_ids), aligned), transform

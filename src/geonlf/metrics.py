@@ -22,15 +22,6 @@ class PoseMetrics:
     rpe_r_deg: float
 
 
-@dataclass
-class NvsMetrics:
-    cd: float
-    fscore: float
-    rmse: float
-    medae: float
-    psnr: float
-
-
 def pose_metrics(est: Trajectory, ref: Trajectory) -> PoseMetrics:
     """ATE and consecutive-pair RPE after rigid alignment (scale fixed to 1).
 
@@ -42,7 +33,7 @@ def pose_metrics(est: Trajectory, ref: Trajectory) -> PoseMetrics:
         raise FrameMismatch("trajectories cover different frame ids")
     if len(est) < 2:
         raise FrameMismatch("need at least 2 frames")
-    aligned, _, _ = align_trajectory(est, ref, with_scale=False)
+    aligned, _ = align_trajectory(est, ref)
 
     residuals = aligned.positions() - ref.positions()
     ate = float(np.sqrt((residuals ** 2).sum(axis=1).mean()))

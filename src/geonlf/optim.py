@@ -5,25 +5,25 @@ from __future__ import annotations
 import numpy as np
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Adam:
     """Adam with per-block state; moments are float64 and zero-initialized.
 
-    Each block is updated in place. The learning rate may be overridden per
-    step, which is how the exponential decay schedules are driven.
+    Each block is updated in place. The learning rate is given per step,
+    which is how the exponential decay schedules are driven.
     """
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.step_count: dict[str, int] = {}
 
     def step(self, name: str, param: np.ndarray, grad: np.ndarray,
-             lr: float | None = None) -> None:
+             lr: float) -> None:
         if name not in self.m:
             self.m[name] = np.zeros(param.shape, dtype=np.float64)
             self.v[name] = np.zeros(param.shape, dtype=np.float64)
@@ -33,14 +33,13 @@ class Adam:
         t = self.step_count[name]
         m = self.m[name]
         v = self.v[name]
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        m_hat = m / (1.0 - self.beta1 ** t)
-        v_hat = v / (1.0 - self.beta2 ** t)
-        rate = self.lr if lr is None else lr
-        param -= (rate * m_hat / (np.sqrt(v_hat) + self.eps)).astype(param.dtype)
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * grad * grad
+        m_hat = m / (1.0 - BETA1 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
+        param -= (lr * m_hat / (np.sqrt(v_hat) + EPS)).astype(param.dtype)
 
 
 def exp_decay(start: float, end: float, progress: float) -> float:

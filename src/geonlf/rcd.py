@@ -2,7 +2,7 @@
 
 Frames are connected to their n temporal neighbors; each edge carries a
 soft-weighted, bidirectional Chamfer term evaluated on the frames' world
-transforms. Correspondences and (by default) their weights are held fixed
+transforms. Correspondences and their weights are always held fixed
 within one evaluation and refreshed every step, so the analytic gradients
 are exact for the fixed-correspondence surrogate and finite-difference
 checkable.
@@ -29,7 +29,7 @@ point-to-point term is the one that recovers from it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,13 +53,12 @@ class FrameGraph:
 class RcdConfig:
     """Knobs of the robust Chamfer term.
 
-    t0:             peak temperature reached at the end of the schedule
-    schedule:       "linear" or "exponential" ramp from 0 to t0
-    voxel_size:     downsampling cell size; also the distance clip in the
-                    weight softmax, the floor of the point-to-plane
-                    rejection gate (1.5 voxels) and the unit of the
-                    point-to-point share (0 up to 1 voxel, 1 from 3)
-    detach_weights: treat weights as constants when differentiating
+    t0:         peak temperature, reached by a linear ramp from 0 at the
+                end of the schedule
+    voxel_size: downsampling cell size; also the distance clip in the
+                weight softmax, the floor of the point-to-plane rejection
+                gate (1.5 voxels) and the unit of the point-to-point share
+                (0 up to 1 voxel, 1 from 3)
 
     Which residual applies (point-to-point or symmetric point-to-plane) is
     decided by whether the clouds carry normals and by how far apart they
@@ -67,17 +66,13 @@ class RcdConfig:
     """
 
     t0: float = 0.5
-    schedule: str = "linear"
     voxel_size: float = 0.01
-    detach_weights: bool = True
 
     def __post_init__(self):
         if self.t0 < 0.0:
             raise ValueError("t0 must be >= 0")
         if self.voxel_size <= 0.0:
             raise ValueError("voxel_size must be > 0")
-        if self.schedule not in ("linear", "exponential"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
 def build_graph(num_frames: int, window: int) -> FrameGraph:
@@ -123,10 +118,8 @@ def correspondence_weights(distances: np.ndarray, t: float,
 
 
 def temperature_at(progress: float, cfg: RcdConfig) -> float:
-    """Scheduled temperature at a training progress in [0, 1]."""
-    if cfg.schedule == "linear":
-        return cfg.t0 * progress
-    return cfg.t0 * (np.exp(progress * np.log(2.0)) - 1.0)
+    """Temperature at a training progress in [0, 1]: linear from 0 to t0."""
+    return cfg.t0 * progress
 
 
 def _lower_quartile(d: np.ndarray) -> float:
@@ -178,9 +171,10 @@ def _residual_terms(r: np.ndarray, d: np.ndarray, src_rot: np.ndarray,
                     n_dst: np.ndarray | None = None):
     """Weighted residual over a set of pairs: point-to-point without
     normals, symmetric point-to-plane with them. The weights always come
-    from the point distances. Returns (loss, force, torque_src, torque_dst):
-    force is d loss / d rho_src (and minus d loss / d rho_dst); the torques
-    are the rotation gradients before the transposed left Jacobian.
+    from the point distances and are held fixed. Returns (loss, force,
+    torque_src, torque_dst): force is d loss / d rho_src (and minus
+    d loss / d rho_dst); the torques are the rotation gradients before the
+    transposed left Jacobian.
     """
     w = correspondence_weights(d, t, cfg.voxel_size)
     if n_src is None:
@@ -192,14 +186,6 @@ def _residual_terms(r: np.ndarray, d: np.ndarray, src_rot: np.ndarray,
         sq = e * e
         dl_dr = 2.0 * (w * e)[:, None] * s
     loss = float(np.dot(w, sq))
-    if not cfg.detach_weights and t > 0.0:
-        # Weights also depend on the clipped distances: e_k/E == w_k, so
-        # dL/dd_k = w_k * (sq_k - L) * (-t / clip_k^2) where d_k > clip.
-        clipped = np.maximum(cfg.voxel_size, d)
-        active = d > cfg.voxel_size
-        coef = np.where(active, w * (sq - loss) * (-t) / (clipped * clipped), 0.0)
-        safe_d = np.where(d > 0.0, d, 1.0)
-        dl_dr += (coef / safe_d)[:, None] * r
     # d(R v)/d phi = -[R v]x J_l(phi); transposed against a gradient g this
     # is J_l^T (R v x g). Normals rotate with their frames the same way.
     torque_src = _cross_sum(src_rot, dl_dr)
@@ -266,7 +252,10 @@ def _edge_terms(p: _PosedFrame, q: _PosedFrame, idx_pq: np.ndarray,
                 idx_qp: np.ndarray, cfg: RcdConfig, t: float):
     """Both directions of one edge from their nearest-neighbor indices
     (idx_pq into q for p's points, idx_qp into p for q's points).
-    Returns (loss, grad_xi_p, grad_xi_q) as `robust_chamfer` does."""
+    Returns (loss, grad_xi_p, grad_xi_q), each gradient a 6-vector
+    ordered (d rho, d phi). Poses enter through the decoupled exponential
+    map, so d/d rho is direct and d/d phi goes through the rotation only.
+    """
     loss_pq, f_pq, tp_pq, tq_pq = _direction_terms(p, q, idx_pq, cfg, t)
     loss_qp, f_qp, tq_qp, tp_qp = _direction_terms(q, p, idx_qp, cfg, t)
 
@@ -279,35 +268,13 @@ def _edge_terms(p: _PosedFrame, q: _PosedFrame, idx_pq: np.ndarray,
     return loss_pq + loss_qp, grad_p, grad_q
 
 
-def robust_chamfer(cloud_p: PointCloud, cloud_q: PointCloud,
-                   xi_p: Se3Param, xi_q: Se3Param, cfg: RcdConfig, t: float,
-                   tree_p: KdTree | None = None, tree_q: KdTree | None = None):
-    """Bidirectional soft-weighted Chamfer loss between two posed frames.
-
-    Point-to-point unless both clouds carry normals (see the module
-    docstring). Returns (loss, grad_xi_p, grad_xi_q) with each gradient a
-    6-vector ordered (d rho, d phi). Poses enter through the decoupled
-    exponential map, so d/d rho is direct and d/d phi goes through the
-    rotation only.
-    """
-    if len(cloud_p) == 0 or len(cloud_q) == 0:
-        raise EmptyCloud("robust_chamfer requires two non-empty clouds")
-    tree_p = tree_p if tree_p is not None else KdTree(cloud_p.points)
-    tree_q = tree_q if tree_q is not None else KdTree(cloud_q.points)
-    p = _PosedFrame(cloud_p, xi_p)
-    q = _PosedFrame(cloud_q, xi_q)
-    idx_pq, _ = tree_q.query_many(q.to_sensor(p.world))
-    idx_qp, _ = tree_p.query_many(p.to_sensor(q.world))
-    return _edge_terms(p, q, idx_pq, idx_qp, cfg, t)
-
-
 def _graph_correspondences(frames: list[_PosedFrame], graph: FrameGraph,
                            trees: list[KdTree]) -> dict:
     """Nearest neighbors for both directions of every edge, with one kd-tree
     query per destination frame: the points of all its graph neighbors are
     stacked into one batch. Each neighbor's block is formed on its own, as
-    `robust_chamfer` forms it, so the indices are the same as per-edge
-    queries. Returns {(src, dst): indices into dst's cloud}.
+    a query for that edge alone would form it, so the indices are the same
+    as per-edge queries. Returns {(src, dst): indices into dst's cloud}.
     """
     sources: dict[int, list[int]] = {}
     for i, j in graph.edges:
@@ -330,8 +297,11 @@ def graph_loss(clouds: list[PointCloud], poses: list[Se3Param],
 
     Normalized by n*M - n*(n+1)/2 (the edge count); per-frame gradients are
     accumulated over incident edges in sorted edge order. Every edge gives
-    what `robust_chamfer` gives, bit for bit; the correspondences of all
-    edges come from one pass (`_graph_correspondences`).
+    what a one-edge graph of its two frames gives, bit for bit; the
+    correspondences of all edges come from one pass
+    (`_graph_correspondences`). Clouds with normals on both sides use the
+    point-to-plane blend, any other pair point-to-point (see the module
+    docstring).
     Returns (loss, grads) with grads an (M, 6) array.
     """
     if not (len(clouds) == len(poses) == graph.num_frames):
@@ -390,14 +360,13 @@ class GeoSession:
     aligned, and the point-to-point one far from alignment (see the module
     docstring); any other edge is point-to-point. Builds
     one kd-tree per frame, and then performs Adam steps on the pose
-    parameters. Frame `fixed_frame` is gauge-fixed (never updated).
+    parameters. Frame 0 is gauge-fixed (never updated).
     """
 
     def __init__(self, clouds: list[PointCloud], graph: FrameGraph,
-                 cfg: RcdConfig, fixed_frame: int | None = 0):
+                 cfg: RcdConfig):
         self.cfg = cfg
         self.graph = graph
-        self.fixed_frame = fixed_frame
         self.clouds = [_surface_cloud(c, cfg.voxel_size) for c in clouds]
         self.trees = [KdTree(c.points) for c in self.clouds]
 
@@ -405,9 +374,7 @@ class GeoSession:
              lr_trans: float, adam: Adam) -> float:
         loss, grads = graph_loss(self.clouds, poses, self.graph, self.cfg, t,
                                  trees=self.trees)
-        for f, pose in enumerate(poses):
-            if f == self.fixed_frame:
-                continue
+        for f, pose in enumerate(poses[1:], start=1):
             adam.step(f"pose{f}.rho", pose.rho, grads[f, :3], lr=lr_trans)
             adam.step(f"pose{f}.phi", pose.phi, grads[f, 3:], lr=lr_rot)
         return loss
@@ -416,32 +383,28 @@ class GeoSession:
 def geo_optimize(clouds: list[PointCloud], poses: list[Se3Param],
                  graph: FrameGraph, cfg: RcdConfig, steps: int,
                  lr_rot: float, lr_trans: float,
-                 lr_rot_end: float | None = None,
-                 lr_trans_end: float | None = None,
                  loss_log: list | None = None) -> list[Se3Param]:
     """Pure geometric pose optimization by Adam descent on the graph loss.
 
-    Learning rates decay exponentially by default to lr_rot/100 and
-    lr_trans/10. Under Adam a coordinate moves at most about lr per step,
-    so a decay to lr_trans/100 over 300 steps caps every translation
-    coordinate at about 0.065 x (lr_trans / 1e-3), less than the 0.1 noise
-    of the 8-frame recovery case; lr_trans/10 raises that cap to about 0.12.
-    The temperature follows the configured schedule across the step budget.
+    Learning rates decay exponentially to lr_rot/100 and lr_trans/10.
+    Under Adam a coordinate moves at most about lr per step, so a decay to
+    lr_trans/100 over 300 steps would cap every translation coordinate at
+    about 0.065 x (lr_trans / 1e-3), less than the 0.1 noise of the 8-frame
+    recovery case; lr_trans/10 raises that cap to about 0.12.
+    The temperature ramps linearly to t0 across the step budget.
     Frame 0 is gauge-fixed. Deterministic.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    lr_rot_end = lr_rot / 100.0 if lr_rot_end is None else lr_rot_end
-    lr_trans_end = lr_trans / 10.0 if lr_trans_end is None else lr_trans_end
-    session = GeoSession(clouds, graph, cfg, fixed_frame=0)
+    session = GeoSession(clouds, graph, cfg)
     adam = Adam()
     poses = [p.copy() for p in poses]
     for step in range(steps):
         progress = step / max(steps - 1, 1)
         t = temperature_at(progress, cfg)
         loss = session.step(poses, t,
-                            exp_decay(lr_rot, lr_rot_end, progress),
-                            exp_decay(lr_trans, lr_trans_end, progress),
+                            exp_decay(lr_rot, lr_rot / 100.0, progress),
+                            exp_decay(lr_trans, lr_trans / 10.0, progress),
                             adam)
         if loss_log is not None:
             loss_log.append(loss)

@@ -1,6 +1,7 @@
 """Synthetic ground truth: parametric scenes inside the unit cube, an
-analytic 32-beam style scanner, spherical projection utilities, and pose
-perturbation for building registration problems with known answers.
+analytic 32-beam style scanner and the unprojection of its range images,
+and pose perturbation for building registration problems with known
+answers.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 from .cloud import PointCloud, RangeImage
 from .errors import UnknownPreset
 from .field import sensor_directions
-from .geometry import Se3Param, Trajectory, se3_decoupled, so3_exp
+from .geometry import Trajectory, so3_exp
 
 _EPS = 1e-9
 
@@ -74,9 +75,6 @@ class Rect:
         t = np.where(ok, t, np.inf)
         return t, np.broadcast_to(self.normal, dirs.shape)
 
-    def residual(self, pts):
-        return np.abs((pts - self.point) @ self.normal)
-
 
 @dataclass
 class Box:
@@ -110,10 +108,6 @@ class Box:
         n_box[np.arange(dirs.shape[0]), axis] = np.where(sign == 0.0, 1.0, sign)
         return t, n_box @ self.rotation.T
 
-    def residual(self, pts):
-        local = np.abs((pts - self.center) @ self.rotation)
-        return np.abs(local - self.half_extents).min(axis=1)
-
 
 @dataclass
 class Sphere:
@@ -138,9 +132,6 @@ class Sphere:
         with np.errstate(invalid="ignore"):
             normals = (hits - self.center) / self.radius
         return t, np.nan_to_num(normals)
-
-    def residual(self, pts):
-        return np.abs(np.linalg.norm(pts - self.center, axis=1) - self.radius)
 
 
 @dataclass
@@ -185,11 +176,6 @@ class Cylinder:
             normals = perp / self.radius
         return t, np.nan_to_num(normals)
 
-    def residual(self, pts):
-        rel = pts - self.base
-        perp = rel - (rel @ self.axis)[:, None] * self.axis
-        return np.abs(np.linalg.norm(perp, axis=1) - self.radius)
-
 
 @dataclass
 class Scene:
@@ -211,13 +197,6 @@ class Scene:
             best_n[closer] = normals[closer]
             best_r[closer] = prim.reflectance
         return best_t, best_n, best_r
-
-    def surface_residual(self, pts: np.ndarray) -> np.ndarray:
-        """Distance of each point to the nearest primitive surface."""
-        res = np.full(pts.shape[0], np.inf)
-        for prim in self.primitives:
-            res = np.minimum(res, prim.residual(pts))
-        return res
 
 
 # ---------------------------------------------------------------------------
@@ -391,36 +370,6 @@ def lidar_scan(scene: Scene, pose: np.ndarray, cfg: ScannerConfig,
     pts = d_flat[valid] * t[valid][:, None]
     cloud = PointCloud(pts, intensity[valid])
     return rimg, cloud
-
-
-def project_points(cloud: PointCloud, cfg: ScannerConfig) -> RangeImage:
-    """Spherical projection of sensor-frame points; collisions keep the
-    nearer point. The azimuth seam theta = pi wraps into column 0."""
-    h, w = cfg.beams, cfg.azimuth_steps
-    p = cloud.points
-    r = np.linalg.norm(p, axis=1)
-    ok = r > 0.0
-    theta = np.arctan2(p[:, 1], p[:, 0])
-    with np.errstate(invalid="ignore"):
-        phi = np.arcsin(np.clip(np.where(ok, p[:, 2] / np.where(ok, r, 1.0), 0.0),
-                                -1.0, 1.0))
-    fov_up = np.deg2rad(cfg.fov_up_deg)
-    fov_down = np.deg2rad(cfg.fov_down_deg)
-    col = np.floor((theta + np.pi) / (2.0 * np.pi) * w).astype(np.int64) % w
-    row = np.floor((fov_up - phi) / (fov_up - fov_down) * h).astype(np.int64)
-    ok &= (row >= 0) & (row < h) & (r <= cfg.max_range)
-
-    depth = np.full((h, w), -1.0)
-    intensity = np.zeros((h, w))
-    valid = np.zeros((h, w), dtype=bool)
-    sel = np.nonzero(ok)[0]
-    order = sel[np.argsort(-r[sel], kind="stable")]   # far first, near wins
-    rows, cols = row[order], col[order]
-    depth[rows, cols] = r[order]
-    valid[rows, cols] = True
-    if cloud.intensity is not None:
-        intensity[rows, cols] = cloud.intensity[order]
-    return RangeImage(depth, intensity, valid)
 
 
 def unproject(rimg: RangeImage, cfg: ScannerConfig) -> PointCloud:

@@ -66,11 +66,6 @@ class KdTree:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def nearest(self, query: np.ndarray) -> tuple[int, float]:
-        """Single-point query; returns (index, distance)."""
-        idx, dist = self.query_many(np.asarray(query, dtype=np.float64).reshape(1, 3))
-        return int(idx[0]), float(dist[0])
-
     def query_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched exact nearest neighbors with the lowest-index tie rule.
 
@@ -147,19 +142,20 @@ def _pca_normals(neigh: np.ndarray):
     return eigvec[:, :, 0], degenerate
 
 
-def _orient(normals: np.ndarray, points: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """Flip normals so that normal . (origin - p) >= 0, then renormalize."""
-    flip = np.einsum("ni,ni->n", normals, origin - points) < 0.0
+def _orient(normals: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Flip normals toward the origin (normal . -p >= 0), then
+    renormalize."""
+    flip = np.einsum("ni,ni->n", normals, -points) < 0.0
     normals[flip] *= -1.0
     return normals / np.linalg.norm(normals, axis=1, keepdims=True)
 
 
-def estimate_normals(cloud: PointCloud, k: int = 12,
-                     sensor_origin: np.ndarray | None = None) -> PointCloud:
+def estimate_normals(cloud: PointCloud, k: int = 12) -> PointCloud:
     """Per-point unit normals from the k-NN covariance.
 
     The normal is the smallest-eigenvalue eigenvector; its sign is flipped
-    so that normal . (sensor_origin - p) >= 0. Neighborhoods whose
+    so that it points toward the origin, the sensor of a sensor-frame
+    cloud. Neighborhoods whose
     covariance has rank < 2 get a +z placeholder and a warning; if every
     neighborhood is degenerate the call raises DegenerateNeighborhood.
     """
@@ -167,7 +163,6 @@ def estimate_normals(cloud: PointCloud, k: int = 12,
         raise ValueError(f"k must be >= 3, got {k}")
     if len(cloud) <= k:
         raise EmptyCloud(f"need more than k={k} points, got {len(cloud)}")
-    origin = np.zeros(3) if sensor_origin is None else np.asarray(sensor_origin, float)
 
     # Leaf size 16, unlike KdTree: when the k-th and (k+1)-th neighbors tie,
     # which one a k-NN query returns depends on the tree's layout.
@@ -180,7 +175,7 @@ def estimate_normals(cloud: PointCloud, k: int = 12,
                       "using +z placeholder", RuntimeWarning)
         normals[degenerate] = np.array([0.0, 0.0, 1.0])
     return PointCloud(cloud.points.copy(), cloud.intensity,
-                      _orient(normals, cloud.points, origin))
+                      _orient(normals, cloud.points))
 
 
 def normals_at(cloud: PointCloud, sites: PointCloud, k: int = 12) -> PointCloud:
@@ -200,4 +195,4 @@ def normals_at(cloud: PointCloud, sites: PointCloud, k: int = 12) -> PointCloud:
     normals, degenerate = _pca_normals(cloud.points[nn_idx])
     kept = sites.subset(~degenerate)
     return PointCloud(kept.points, kept.intensity,
-                      _orient(normals[~degenerate], kept.points, np.zeros(3)))
+                      _orient(normals[~degenerate], kept.points))

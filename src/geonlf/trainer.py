@@ -14,7 +14,7 @@ import numpy as np
 from .cloud import PointCloud, RangeImage
 from .encoding import EncodingConfig
 from .errors import (DegenerateNeighborhood, EmptyBatch, EmptyCloud,
-                     NonFiniteLoss)
+                     NonFiniteLoss, ShapeMismatch, TooFewFrames)
 from .field import FieldParams, backward, pose_rays, render_rays, sensor_directions
 from .formats import loss_row
 from .geometry import (Se3Param, Trajectory, se3_decoupled, so3_exp,
@@ -137,7 +137,7 @@ def render_loss(pred: tuple[np.ndarray, np.ndarray, np.ndarray],
     if n == 0:
         raise EmptyBatch("empty ray batch")
     if not (p_int.shape[0] == p_drop.shape[0] == g_depth.shape[0] == n):
-        raise EmptyBatch("prediction/target length mismatch")
+        raise ShapeMismatch("prediction/target length mismatch")
     valid = np.asarray(valid, dtype=bool)
     n_valid = max(int(valid.sum()), 1)
 
@@ -160,7 +160,12 @@ def render_loss(pred: tuple[np.ndarray, np.ndarray, np.ndarray],
 
 def cd_loss_3d(synth: PointCloud, gt: PointCloud):
     """Symmetric mean squared nearest-neighbor distance, with gradients
-    flowing to the synthesized points (correspondences treated as fixed)."""
+    flowing to the synthesized points (correspondences treated as fixed).
+
+    Returns (loss, gradient, pairs), pairs = (idx_sg, idx_gs) being the
+    nearest gt point of each synthesized point and the other way round,
+    which `normal_loss` reuses.
+    """
     if len(synth) == 0 or len(gt) == 0:
         raise EmptyCloud("cd_loss_3d requires non-empty clouds")
     idx_sg, d_sg = KdTree(gt.points).query_many(synth.points)
@@ -170,26 +175,28 @@ def cd_loss_3d(synth: PointCloud, gt: PointCloud):
     grad = 2.0 * (synth.points - gt.points[idx_sg]) / n_s
     back = 2.0 * (synth.points[idx_gs] - gt.points) / n_g
     np.add.at(grad, idx_gs, back)
-    return loss, grad
+    return loss, grad, (idx_sg, idx_gs)
 
 
-def normal_loss(synth: PointCloud, gt: PointCloud, k: int = 12) -> float:
-    """Sign-invariant L1 normal difference over Chamfer correspondences.
+def normal_loss(synth: PointCloud, gt: PointCloud,
+                pairs: tuple[np.ndarray, np.ndarray]) -> float:
+    """Sign-invariant L1 normal difference over the Chamfer correspondences
+    `pairs` that `cd_loss_3d` returns.
 
-    Normals are estimated per cloud; since their orientation is arbitrary,
-    each pair contributes min(|n1 - n2|_1, |n1 + n2|_1). Degenerate
-    neighborhoods downgrade to a warning and a zero value.
+    Normals are estimated per cloud from 12 neighbors; since their
+    orientation is arbitrary, each pair contributes
+    min(|n1 - n2|_1, |n1 + n2|_1). Degenerate neighborhoods downgrade to a
+    warning and a zero value.
     """
     if len(synth) == 0 or len(gt) == 0:
         raise EmptyCloud("normal_loss requires non-empty clouds")
     try:
-        ns = estimate_normals(synth, k)
-        ng = estimate_normals(gt, k)
+        ns = estimate_normals(synth)
+        ng = estimate_normals(gt)
     except (DegenerateNeighborhood, EmptyCloud) as exc:
         warnings.warn(f"normal_loss skipped: {exc}", RuntimeWarning)
         return 0.0
-    idx_sg, _ = KdTree(gt.points).query_many(synth.points)
-    idx_gs, _ = KdTree(synth.points).query_many(gt.points)
+    idx_sg, idx_gs = pairs
 
     def direction(a, b):
         diff = np.abs(a - b).sum(axis=1)
@@ -270,7 +277,7 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
     """
     m = len(images)
     if m < 3:
-        raise EmptyBatch(f"need at least 3 frames, got {m}")
+        raise TooFewFrames(f"need at least 3 frames, got {m}")
     if isinstance(init_poses, Trajectory):
         frame_ids = list(init_poses.frame_ids)
         poses = [Se3Param.from_matrix(p) for p in init_poses.poses]
@@ -288,7 +295,7 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
     targets = [_flat_target(img) for img in images]
 
     graph = build_graph(m, min(cfg.graph_window, m - 1))
-    geo = GeoSession(clouds, graph, cfg.rcd, fixed_frame=0) if cfg.use_geo else None
+    geo = GeoSession(clouds, graph, cfg.rcd) if cfg.use_geo else None
     adam_field = Adam()
     adam_pose = Adam()
     adam_geo = Adam()
@@ -386,8 +393,8 @@ def _cd_step(params, pose, d_sensor, valid, gt_cloud, scanner, cfg, alpha, rng):
     gt_world = PointCloud(gt_sub.points @ rot.T + pose.rho)
 
     synth_cloud = PointCloud(synth_pts)
-    cd_val, grad_synth = cd_loss_3d(synth_cloud, gt_world)
-    normal_val = normal_loss(synth_cloud, gt_world, k=12) \
+    cd_val, grad_synth, pairs = cd_loss_3d(synth_cloud, gt_world)
+    normal_val = normal_loss(synth_cloud, gt_world, pairs) \
         if min(len(synth_cloud), len(gt_world)) > 12 else 0.0
 
     grad_synth = cfg.lambda_cd * grad_synth

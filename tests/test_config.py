@@ -20,10 +20,10 @@ class TestRunConfig:
         cfg = RunConfig.parse("rcd.voxel_size = 0.02\n"
                               "# comment\n"
                               "train.iterations=50\n"
-                              "rcd.detach_weights = false\n")
+                              "train.use_sr = false\n")
         assert cfg["rcd.voxel_size"] == 0.02
         assert cfg["train.iterations"] == 50
-        assert cfg["rcd.detach_weights"] is False
+        assert cfg["train.use_sr"] is False
 
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ConfigError) as err:
@@ -41,7 +41,7 @@ class TestRunConfig:
 
     def test_round_trip_identity(self):
         cfg = RunConfig.parse("scanner.beams = 16\ntrain.seed = 9\n"
-                              "rcd.schedule = exponential\n")
+                              "rcd.t0 = 0.25\n")
         text = cfg.serialize()
         again = RunConfig.parse(text)
         assert again.values == cfg.values
@@ -60,6 +60,13 @@ class TestRunConfig:
     def test_constructor_rejects_unknown(self):
         with pytest.raises(ConfigError):
             RunConfig({"nope.nope": 1})
+
+    def test_removed_rcd_keys_rejected(self):
+        # The weights are always held fixed and the temperature ramp is
+        # always linear; a gen.cfg that still sets either key must drop it.
+        for line in ("rcd.detach_weights = true", "rcd.schedule = linear"):
+            with pytest.raises(ConfigError):
+                RunConfig.parse(line + "\n")
 
     def test_removed_keys_rejected(self):
         # These keys changed no number and are gone; a gen.cfg written

@@ -282,7 +282,7 @@ class TestEncodeBackward:
         _, cache = encode_forward(x, planes, tables, cfg, alpha=None)
         g_tables = np.zeros_like(tables)
         g_planes = np.zeros_like(planes)
-        encode_backward(cache, upstream, g_planes, g_tables, cfg, need_dx=False)
+        encode_backward(cache, upstream, g_planes, g_tables, cfg)
 
         touched = np.nonzero(g_tables)
         for lvl, row, chan in list(zip(*touched))[:20]:
@@ -316,8 +316,7 @@ class TestEncodeBackward:
         _, cache = encode_forward(x, planes, tables, cfg, alpha=0.7 * cfg.total_mask_levels)
         g_tables = np.zeros_like(tables)
         g_planes = np.zeros_like(planes)
-        dx = encode_backward(cache, upstream, g_planes, g_tables, cfg,
-                             need_dx=True)
+        dx = encode_backward(cache, upstream, g_planes, g_tables, cfg)
 
         def loss(xv):
             out, _ = encode_forward(xv.reshape(5, 3), planes, tables, cfg,

@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geonlf.cloud import PointCloud
 from geonlf.errors import DegenerateConfiguration, FrameMismatch
 from geonlf.geometry import (Se3Param, Trajectory, align_trajectory,
-                             canonicalize_phi, invert_rigid, se3_decoupled,
-                             so3_exp, so3_left_jacobian, so3_log,
-                             transform_points)
+                             canonicalize_phi, se3_decoupled, so3_exp,
+                             so3_left_jacobian, so3_log)
 from oracles import (se3_full_exp, series_se3_exp, series_so3_exp,
                      series_so3_left_jacobian)
 
@@ -144,29 +142,6 @@ class TestCanonicalize:
         assert np.linalg.norm(xi.phi) < np.pi
 
 
-class TestTransformPoints:
-    def test_identity(self):
-        cloud = PointCloud(RNG.normal(size=(10, 3)))
-        out = transform_points(np.eye(4), cloud)
-        np.testing.assert_array_equal(out.points, cloud.points)
-
-    def test_pure_translation(self):
-        t = np.eye(4)
-        t[:3, 3] = [1.0, 0.0, 0.0]
-        out = transform_points(t, PointCloud([[0.0, 0.0, 0.0]]))
-        np.testing.assert_array_equal(out.points, [[1.0, 0.0, 0.0]])
-
-    def test_round_trip(self):
-        t = se3_decoupled(Se3Param([0.3, -0.2, 0.7], [0.4, 0.1, -0.3]))
-        cloud = PointCloud(RNG.normal(size=(50, 3)),
-                           intensity=RNG.uniform(size=50),
-                           normals=np.tile([0.0, 0.0, 1.0], (50, 1)))
-        back = transform_points(invert_rigid(t), transform_points(t, cloud))
-        assert np.abs(back.points - cloud.points).max() < 1e-12
-        assert np.abs(back.normals - cloud.normals).max() < 1e-12
-        np.testing.assert_array_equal(back.intensity, cloud.intensity)
-
-
 def _traj_from_positions(pos, rng=None):
     rng = rng or np.random.default_rng(11)
     poses = []
@@ -181,8 +156,7 @@ def _traj_from_positions(pos, rng=None):
 class TestAlignTrajectory:
     def test_identical_is_identity(self):
         traj = _traj_from_positions(RNG.normal(size=(6, 3)))
-        aligned, transform, scale = align_trajectory(traj, traj)
-        assert scale == 1.0
+        aligned, transform = align_trajectory(traj, traj)
         np.testing.assert_allclose(transform, np.eye(4), atol=1e-12)
         assert np.abs(aligned.positions() - traj.positions()).max() < 1e-12
 
@@ -191,7 +165,7 @@ class TestAlignTrajectory:
         g = se3_decoupled(Se3Param([0.4, -0.1, 0.2], [0.0, 0.0, np.deg2rad(30)]))
         est = Trajectory(list(ref.frame_ids),
                          np.array([g @ p for p in ref.poses]))
-        aligned, _, _ = align_trajectory(est, ref)
+        aligned, _ = align_trajectory(est, ref)
         assert np.abs(aligned.positions() - ref.positions()).max() < 1e-10
 
     def test_noisy_residual_matches_descent_oracle(self):
@@ -200,7 +174,7 @@ class TestAlignTrajectory:
         ref = _traj_from_positions(rng.normal(size=(10, 3)), rng)
         est_pos = ref.positions() + rng.normal(scale=0.05, size=(10, 3))
         est = _traj_from_positions(est_pos, rng)
-        aligned, _, _ = align_trajectory(est, ref)
+        aligned, _ = align_trajectory(est, ref)
         residual = ((aligned.positions() - ref.positions()) ** 2).sum()
 
         def cost(v):
@@ -221,20 +195,12 @@ class TestAlignTrajectory:
         rng = np.random.default_rng(13)
         ref = _traj_from_positions(rng.normal(size=(7, 3)), rng)
         est = _traj_from_positions(ref.positions() + rng.normal(scale=0.1, size=(7, 3)), rng)
-        _, _, _ = align_trajectory(est, ref)
         res0 = ((align_trajectory(est, ref)[0].positions() - ref.positions()) ** 2).sum()
         g = se3_decoupled(Se3Param([1.0, 2.0, -0.5], [0.3, -0.2, 0.9]))
         est_g = Trajectory(list(est.frame_ids), np.array([g @ p for p in est.poses]))
         ref_g = Trajectory(list(ref.frame_ids), np.array([g @ p for p in ref.poses]))
         res1 = ((align_trajectory(est_g, ref_g)[0].positions() - ref_g.positions()) ** 2).sum()
         assert abs(res0 - res1) < 1e-10
-
-    def test_with_scale_recovers_scale(self):
-        rng = np.random.default_rng(14)
-        ref = _traj_from_positions(rng.normal(size=(6, 3)), rng)
-        est = _traj_from_positions(ref.positions() / 2.5, rng)
-        _, _, scale = align_trajectory(est, ref, with_scale=True)
-        assert abs(scale - 2.5) < 1e-9
 
     def test_collinear_raises(self):
         pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0],

@@ -11,12 +11,11 @@ from geonlf.geometry import (Se3Param, Trajectory, rotation_angle,
 from geonlf.icp import icp_pairwise
 from geonlf.rcd import (GeoSession, RcdConfig, build_graph,
                         correspondence_weights, geo_optimize,
-                        graph_denominator, graph_loss, robust_chamfer,
-                        temperature_at)
+                        graph_denominator, graph_loss, temperature_at)
 from geonlf.metrics import pose_metrics
 from geonlf.scene import (ScannerConfig, lidar_scan, make_scene,
                           make_trajectory, perturb_poses, unproject)
-from oracles import brute_chamfer, numeric_gradient
+from oracles import brute_chamfer, edge_chamfer, numeric_gradient
 
 
 class TestBuildGraph:
@@ -105,20 +104,15 @@ class TestTemperature:
         np.testing.assert_allclose(temperature_at(1.0, cfg), 0.5)
         np.testing.assert_allclose(temperature_at(0.5, cfg), 0.25)
 
-    def test_exponential_schedule(self):
-        cfg = RcdConfig(t0=0.5, schedule="exponential")
-        assert temperature_at(0.0, cfg) == 0.0
-        np.testing.assert_allclose(temperature_at(1.0, cfg), 0.5, rtol=1e-12)
-        np.testing.assert_allclose(temperature_at(0.5, cfg),
-                                   0.5 * (2 ** 0.5 - 1), rtol=1e-12)
-
 
 class TestRobustChamfer:
+    """The robust Chamfer term of one edge, through a one-edge graph."""
+
     def test_identical_aligned_zero(self):
         pts = np.random.default_rng(0).uniform(size=(60, 3))
         cloud = PointCloud(pts)
-        loss, gp, gq = robust_chamfer(cloud, cloud, Se3Param(), Se3Param(),
-                                      RcdConfig(), 0.0)
+        loss, gp, gq = edge_chamfer(cloud, cloud, Se3Param(), Se3Param(),
+                                    RcdConfig(), 0.0)
         assert loss == 0.0
         np.testing.assert_array_equal(gp, np.zeros(6))
         np.testing.assert_array_equal(gq, np.zeros(6))
@@ -126,8 +120,8 @@ class TestRobustChamfer:
     def test_single_point_pair(self):
         p = PointCloud([[0.0, 0.0, 0.0]])
         q = PointCloud([[1.0, 0.0, 0.0]])
-        loss, _, _ = robust_chamfer(p, q, Se3Param(), Se3Param(),
-                                    RcdConfig(), 0.0)
+        loss, _, _ = edge_chamfer(p, q, Se3Param(), Se3Param(),
+                                  RcdConfig(), 0.0)
         np.testing.assert_allclose(loss, 2.0)
 
     def test_matches_uniform_brute_force(self):
@@ -135,8 +129,8 @@ class TestRobustChamfer:
         for _ in range(20):
             a = rng.uniform(size=(50, 3))
             b = rng.uniform(size=(50, 3))
-            loss, _, _ = robust_chamfer(PointCloud(a), PointCloud(b),
-                                        Se3Param(), Se3Param(), RcdConfig(), 0.0)
+            loss, _, _ = edge_chamfer(PointCloud(a), PointCloud(b),
+                                      Se3Param(), Se3Param(), RcdConfig(), 0.0)
             np.testing.assert_allclose(loss, brute_chamfer(a, b), atol=1e-9)
 
     def test_posed_matches_brute_force_on_transformed(self):
@@ -145,17 +139,17 @@ class TestRobustChamfer:
         b = rng.uniform(size=(40, 3))
         xp = Se3Param([0.05, -0.02, 0.01], [0.02, 0.03, -0.01])
         xq = Se3Param([-0.01, 0.04, 0.0], [0.0, -0.02, 0.05])
-        loss, _, _ = robust_chamfer(PointCloud(a), PointCloud(b), xp, xq,
-                                    RcdConfig(), 0.0)
+        loss, _, _ = edge_chamfer(PointCloud(a), PointCloud(b), xp, xq,
+                                  RcdConfig(), 0.0)
         aw = a @ so3_exp(xp.phi).T + xp.rho
         bw = b @ so3_exp(xq.phi).T + xq.rho
         np.testing.assert_allclose(loss, brute_chamfer(aw, bw), atol=1e-9)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyCloud):
-            robust_chamfer(PointCloud(np.zeros((0, 3))),
-                           PointCloud([[0.0, 0.0, 0.0]]),
-                           Se3Param(), Se3Param(), RcdConfig(), 0.0)
+            edge_chamfer(PointCloud(np.zeros((0, 3))),
+                         PointCloud([[0.0, 0.0, 0.0]]),
+                         Se3Param(), Se3Param(), RcdConfig(), 0.0)
 
 
 def _surrogate_edge_loss(a, b, xp6, xq6, t, voxel):
@@ -185,7 +179,7 @@ def _surrogate_edge_loss(a, b, xp6, xq6, t, voxel):
     return value
 
 
-def _surrogate_plane_edge_loss(a, na, b, nb, xp6, xq6, t, voxel, detach):
+def _surrogate_plane_edge_loss(a, na, b, nb, xp6, xq6, t, voxel):
     """Independent reimplementation of an edge between clouds with normals:
     world-frame NN by double loop; per direction the lower quartile q of the
     pair distances, the point-to-point share beta = clip((q / voxel - 1) / 2,
@@ -193,9 +187,8 @@ def _surrogate_plane_edge_loss(a, na, b, nb, xp6, xq6, t, voxel, detach):
     (1 - beta) * sum w ((p - q) . (n_p + n_q))^2 over the kept pairs, with
     both normals rotated by their frames.
 
-    Correspondences, beta and kept pairs are frozen at the base poses;
-    weights are frozen too when `detach`, else recomputed from the pair
-    distances. Returns the loss function and the two betas.
+    Correspondences, weights, beta and kept pairs are frozen at the base
+    poses. Returns the loss function and the two betas.
     """
     def world(pts, x6):
         return pts @ so3_exp(x6[3:]).T + x6[:3]
@@ -217,9 +210,6 @@ def _surrogate_plane_edge_loss(a, na, b, nb, xp6, xq6, t, voxel, detach):
         idx, beta, keep, w_all, w_kept = state
         r = p - q[idx]
         dist = np.linalg.norm(r, axis=1)
-        if not detach:
-            w_all = correspondence_weights(dist, t, voxel)
-            w_kept = correspondence_weights(dist[keep], t, voxel)
         e = np.einsum("ni,ni->n", r, n_p + n_q[idx])[keep]
         return (beta * (w_all * dist * dist).sum()
                 + (1.0 - beta) * (w_kept * e * e).sum())
@@ -235,9 +225,8 @@ def _surrogate_plane_edge_loss(a, na, b, nb, xp6, xq6, t, voxel, detach):
 
 
 class TestGradients:
-    @pytest.mark.parametrize("detach", [True, False])
     @pytest.mark.parametrize("regime", ["plane", "blend"])
-    def test_point_to_plane_gradients_match_fd(self, detach, regime):
+    def test_point_to_plane_gradients_match_fd(self, regime):
         rng = np.random.default_rng(16)
         a = rng.uniform(size=(50, 3))
         b = rng.uniform(size=(50, 3)) + 0.03
@@ -252,13 +241,13 @@ class TestGradients:
         # "blend": both in the ramp between one and three voxels.
         voxel = 0.13 if regime == "plane" else 0.05
         surrogate, betas = _surrogate_plane_edge_loss(a, na, b, nb, xp, xq,
-                                                      t, voxel, detach)
+                                                      t, voxel)
         if regime == "plane":
             assert betas == (0.0, 0.0)
         else:
             assert all(0.0 < beta < 1.0 for beta in betas), betas
-        cfg = RcdConfig(voxel_size=voxel, detach_weights=detach)
-        loss, gp, gq = robust_chamfer(
+        cfg = RcdConfig(voxel_size=voxel)
+        loss, gp, gq = edge_chamfer(
             PointCloud(a, normals=na), PointCloud(b, normals=nb),
             Se3Param(xp[:3], xp[3:]), Se3Param(xq[:3], xq[3:]), cfg, t)
         np.testing.assert_allclose(loss, surrogate(xp, xq), rtol=1e-12)
@@ -275,7 +264,7 @@ class TestGradients:
         t = 0.3
         xp = np.array([0.02, -0.01, 0.03, 0.05, -0.04, 0.02])
         xq = np.array([-0.03, 0.02, 0.0, -0.02, 0.03, 0.01])
-        loss, gp, gq = robust_chamfer(
+        loss, gp, gq = edge_chamfer(
             PointCloud(a), PointCloud(b),
             Se3Param(xp[:3], xp[3:]), Se3Param(xq[:3], xq[3:]), cfg, t)
         surrogate = _surrogate_edge_loss(a, b, xp, xq, t, cfg.voxel_size)
@@ -314,35 +303,6 @@ class TestGradients:
                 denom_val = max(abs(ref), 1e-8)
                 assert abs(got - ref) / denom_val < 1e-5, (f, c, got, ref)
 
-    def test_non_detached_weights_gradient(self):
-        rng = np.random.default_rng(5)
-        a = rng.uniform(size=(30, 3))
-        b = rng.uniform(size=(30, 3)) + 0.1
-        cfg = RcdConfig(voxel_size=0.02, detach_weights=False)
-        t = 0.4
-        xp = np.array([0.01, 0.02, -0.01, 0.03, 0.01, -0.02])
-        xq = np.zeros(6)
-        _, gp, _ = robust_chamfer(PointCloud(a), PointCloud(b),
-                                  Se3Param(xp[:3], xp[3:]), Se3Param(), cfg, t)
-
-        def value(xp6v):
-            # frozen correspondences, differentiable weights
-            aw = a @ so3_exp(xp6v[3:]).T + xp6v[:3]
-            bw = b @ so3_exp(xq[3:]).T + xq[:3]
-            d_ab = np.sqrt(((aw[:, None, :] - bw[None, :, :]) ** 2).sum(axis=2))
-            base_aw = a @ so3_exp(xp[3:]).T + xp[:3]
-            base_d = np.sqrt(((base_aw[:, None, :] - bw[None, :, :]) ** 2).sum(axis=2))
-            i_ab = base_d.argmin(axis=1)
-            i_ba = base_d.argmin(axis=0)
-            d1 = np.linalg.norm(aw - bw[i_ab], axis=1)
-            d2 = np.linalg.norm(bw - aw[i_ba], axis=1)
-            w1 = correspondence_weights(d1, t, cfg.voxel_size)
-            w2 = correspondence_weights(d2, t, cfg.voxel_size)
-            return float((w1 * d1 ** 2).sum() + (w2 * d2 ** 2).sum())
-
-        fd = numeric_gradient(value, xp, h=1e-6)
-        np.testing.assert_allclose(gp, fd, rtol=1e-5, atol=1e-9)
-
 
 class TestGraphLoss:
     def test_identical_frames_zero(self):
@@ -361,8 +321,8 @@ class TestGraphLoss:
         poses = [Se3Param(), Se3Param([0.1, 0, 0], np.zeros(3)),
                  Se3Param([0.2, 0, 0], np.zeros(3))]
         cfg = RcdConfig()
-        l01, _, _ = robust_chamfer(clouds[0], clouds[1], poses[0], poses[1], cfg, 0.0)
-        l12, _, _ = robust_chamfer(clouds[1], clouds[2], poses[1], poses[2], cfg, 0.0)
+        l01, _, _ = edge_chamfer(clouds[0], clouds[1], poses[0], poses[1], cfg, 0.0)
+        l12, _, _ = edge_chamfer(clouds[1], clouds[2], poses[1], poses[2], cfg, 0.0)
         total, _ = graph_loss(clouds, poses, build_graph(3, 1), cfg, 0.0)
         np.testing.assert_allclose(total, (l01 + l12) / 2.0, atol=1e-12)
 
@@ -375,8 +335,8 @@ class TestGraphLoss:
         graph = build_graph(4, 2)
         assert graph_denominator(4, 2) == 5
         total, _ = graph_loss(clouds, poses, graph, cfg, 0.1)
-        explicit = sum(robust_chamfer(clouds[i], clouds[j], poses[i],
-                                      poses[j], cfg, 0.1)[0]
+        explicit = sum(edge_chamfer(clouds[i], clouds[j], poses[i],
+                                    poses[j], cfg, 0.1)[0]
                        for i, j in graph.edges)
         np.testing.assert_allclose(total, explicit / 5.0, atol=1e-12)
 
@@ -417,7 +377,7 @@ def _corridor_session():
 
 class TestBatchedCorrespondences:
     """`graph_loss` queries each frame's tree once for all its neighbors;
-    it must give exactly the per-edge `robust_chamfer` sum."""
+    it must give exactly the sum over one-edge graphs."""
 
     @pytest.fixture(scope="class")
     def session(self):
@@ -434,10 +394,9 @@ class TestBatchedCorrespondences:
         total = 0.0
         grads = np.zeros((4, 6))
         for i, j in geo.graph.edges:
-            loss, gi, gj = robust_chamfer(clouds[i], clouds[j], poses[i],
-                                          poses[j], geo.cfg, t,
-                                          tree_p=geo.trees[i],
-                                          tree_q=geo.trees[j])
+            loss, gi, gj = edge_chamfer(clouds[i], clouds[j], poses[i],
+                                        poses[j], geo.cfg, t,
+                                        [geo.trees[i], geo.trees[j]])
             total += loss
             grads[i] += gi
             grads[j] += gj
@@ -503,10 +462,10 @@ class TestSurfaceFallback:
         assert geo.clouds[2].normals is None
         poses = [Se3Param(), Se3Param([0.01, 0.0, 0.02]), Se3Param()]
         # the edge to the bare frame ignores the other frame's normals
-        with_normals = robust_chamfer(geo.clouds[0], geo.clouds[2], poses[0],
-                                      poses[2], cfg, 0.2)
-        bare = robust_chamfer(PointCloud(geo.clouds[0].points), geo.clouds[2],
-                              poses[0], poses[2], cfg, 0.2)
+        with_normals = edge_chamfer(geo.clouds[0], geo.clouds[2], poses[0],
+                                    poses[2], cfg, 0.2)
+        bare = edge_chamfer(PointCloud(geo.clouds[0].points), geo.clouds[2],
+                            poses[0], poses[2], cfg, 0.2)
         for x, y in zip(with_normals, bare):
             np.testing.assert_array_equal(x, y)
         loss, grads = graph_loss(geo.clouds, poses, geo.graph, cfg, 0.2,

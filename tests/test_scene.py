@@ -3,11 +3,12 @@ import pytest
 
 from geonlf.cloud import PointCloud
 from geonlf.errors import UnknownPreset
-from geonlf.geometry import Trajectory, rotation_angle, transform_points
+from geonlf.geometry import rotation_angle
 from geonlf.scene import (Box, Cylinder, Rect, ScannerConfig, Scene, Sphere,
                           lidar_scan, make_scene, make_trajectory,
-                          perturb_poses, project_points, unproject)
+                          perturb_poses, unproject)
 from geonlf.spatial import KdTree
+from oracles import project_points, surface_residual
 
 SCANNER = ScannerConfig()
 
@@ -124,8 +125,9 @@ class TestLidarScan:
         scene = make_scene("corridor", seed=1)
         traj = make_trajectory("corridor", 4, seed=1)
         rimg, cloud = lidar_scan(scene, traj.poses[1], SCANNER, seed=5)
-        world = transform_points(traj.poses[1], cloud)
-        res = scene.surface_residual(world.points)
+        pose = traj.poses[1]
+        world = cloud.points @ pose[:3, :3].T + pose[:3, 3]
+        res = surface_residual(scene, world)
         assert res.max() < 1e-9
 
     def test_depth_equals_point_norm(self):
@@ -236,7 +238,7 @@ class TestPerturb:
 class TestLowOverlap:
     def overlap_fraction(self, scans, poses, radius=0.02):
         """Mutual nearest-neighbor overlap between consecutive world scans."""
-        world = [transform_points(p, c).points for p, c in zip(poses, scans)]
+        world = [c.points @ p[:3, :3].T + p[:3, 3] for p, c in zip(poses, scans)]
         fracs = []
         for a, b in zip(world, world[1:]):
             _, d_ab = KdTree(b).query_many(a)

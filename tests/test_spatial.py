@@ -23,36 +23,36 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 class TestKdTree:
     def test_single_point(self):
         tree = KdTree(np.array([[1.0, 2.0, 3.0]]))
-        idx, dist = tree.nearest([5.0, 5.0, 5.0])
-        assert idx == 0
-        np.testing.assert_allclose(dist, np.linalg.norm([4.0, 3.0, 2.0]))
+        idx, dist = tree.query_many([[5.0, 5.0, 5.0]])
+        assert idx[0] == 0
+        np.testing.assert_allclose(dist[0], np.linalg.norm([4.0, 3.0, 2.0]))
 
     def test_exact_match(self):
         pts = np.random.default_rng(0).normal(size=(100, 3))
         tree = KdTree(pts)
-        idx, dist = tree.nearest(pts[42])
-        assert idx == 42 and dist == 0.0
+        idx, dist = tree.query_many(pts[42:43])
+        assert idx[0] == 42 and dist[0] == 0.0
 
     def test_duplicates_give_zero(self):
         pts = np.array([[0.5, 0.5, 0.5]] * 4 + [[1.0, 1.0, 1.0]])
-        idx, dist = KdTree(pts).nearest([0.5, 0.5, 0.5])
-        assert dist == 0.0 and idx == 0
+        idx, dist = KdTree(pts).query_many([[0.5, 0.5, 0.5]])
+        assert dist[0] == 0.0 and idx[0] == 0
 
     def test_tie_breaks_to_lower_index(self):
         pts = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        idx, dist = KdTree(pts).nearest([1.0, 0.0, 0.0])
-        assert idx == 0 and dist == 1.0
+        idx, dist = KdTree(pts).query_many([[1.0, 0.0, 0.0]])
+        assert idx[0] == 0 and dist[0] == 1.0
         # and with the candidates swapped, still the lower index
         pts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        idx, _ = KdTree(pts).nearest([1.0, 0.0, 0.0])
-        assert idx == 0
+        idx, _ = KdTree(pts).query_many([[1.0, 0.0, 0.0]])
+        assert idx[0] == 0
 
     def test_many_way_tie(self):
         # four corners of a square, query at the center
         pts = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0],
                         [1.0, -1.0, 0.0], [-1.0, -1.0, 0.0]])
-        idx, _ = KdTree(pts).nearest([0.0, 0.0, 0.0])
-        assert idx == 0
+        idx, _ = KdTree(pts).query_many([[0.0, 0.0, 0.0]])
+        assert idx[0] == 0
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(1)
@@ -182,16 +182,15 @@ class TestEstimateNormals:
         rng = np.random.default_rng(6)
         pts = np.column_stack([rng.uniform(-1, 1, 200),
                                rng.uniform(-1, 1, 200),
-                               np.zeros(200)])
-        out = estimate_normals(PointCloud(pts), k=8,
-                               sensor_origin=[0.0, 0.0, 5.0])
-        # sign fixed toward the sensor above the plane
+                               np.full(200, -5.0)])
+        out = estimate_normals(PointCloud(pts), k=8)
+        # sign fixed toward the sensor at the origin, above the plane
         np.testing.assert_allclose(np.abs(out.normals[:, 2]), 1.0, atol=1e-9)
         assert (out.normals[:, 2] > 0).all()
 
     def test_sphere_normals_point_inward(self):
         pts = fibonacci_sphere(2000)
-        out = estimate_normals(PointCloud(pts), k=12, sensor_origin=np.zeros(3))
+        out = estimate_normals(PointCloud(pts), k=12)
         cos = np.einsum("ni,ni->n", out.normals, -pts)
         angles = np.degrees(np.arccos(np.clip(cos, -1, 1)))
         assert angles.max() < 5.0

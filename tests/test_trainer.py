@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from geonlf import trainer
-from geonlf.cloud import PointCloud, RangeImage
+from geonlf.cloud import PointCloud
 from geonlf.encoding import EncodingConfig
-from geonlf.errors import EmptyBatch, EmptyCloud, NonFiniteLoss
+from geonlf.errors import (EmptyBatch, EmptyCloud, ShapeMismatch,
+                           TooFewFrames)
 from geonlf.field import (FieldParams, backward, pose_rays, render_rays,
                           sensor_directions)
-from geonlf.geometry import (Se3Param, Trajectory, rotation_angle,
-                             se3_decoupled, so3_exp)
+from geonlf.geometry import Se3Param, Trajectory, so3_exp
 from geonlf.metrics import pose_metrics
 from geonlf.rcd import RcdConfig
 from geonlf.scene import (ScannerConfig, lidar_scan, make_scene,
@@ -99,6 +99,12 @@ class TestRenderLoss:
         with pytest.raises(EmptyBatch):
             render_loss((e, e, e), (e, e, e, e.astype(bool)), 1, 1, 1)
 
+    def test_length_mismatch(self):
+        p = np.zeros(4)
+        t = np.zeros(3)
+        with pytest.raises(ShapeMismatch):
+            render_loss((p, p, p), (t, t, t, t.astype(bool)), 1, 1, 1)
+
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(0)
         pd, gd = rng.uniform(1, 2, 6), rng.uniform(1, 2, 6)
@@ -125,13 +131,13 @@ class TestRenderLoss:
 class TestCdLoss:
     def test_identical_zero(self):
         pts = PointCloud(np.random.default_rng(1).uniform(size=(30, 3)))
-        loss, grad = cd_loss_3d(pts, pts)
+        loss, grad, _ = cd_loss_3d(pts, pts)
         assert loss == 0.0
         np.testing.assert_array_equal(grad, np.zeros((30, 3)))
 
     def test_two_singletons(self):
-        loss, grad = cd_loss_3d(PointCloud([[0.0, 0.0, 0.0]]),
-                                PointCloud([[1.0, 0.0, 0.0]]))
+        loss, grad, _ = cd_loss_3d(PointCloud([[0.0, 0.0, 0.0]]),
+                                   PointCloud([[1.0, 0.0, 0.0]]))
         np.testing.assert_allclose(loss, 2.0)
         np.testing.assert_allclose(grad, [[-4.0, 0.0, 0.0]])
 
@@ -140,14 +146,14 @@ class TestCdLoss:
         for _ in range(10):
             a = rng.uniform(size=(100, 3))
             b = rng.uniform(size=(100, 3))
-            loss, _ = cd_loss_3d(PointCloud(a), PointCloud(b))
+            loss, _, _ = cd_loss_3d(PointCloud(a), PointCloud(b))
             np.testing.assert_allclose(loss, brute_chamfer(a, b), atol=1e-9)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(3)
         a = rng.uniform(size=(20, 3))
         b = rng.uniform(size=(20, 3))
-        _, grad = cd_loss_3d(PointCloud(a), PointCloud(b))
+        _, grad, _ = cd_loss_3d(PointCloud(a), PointCloud(b))
 
         def frozen_loss(flat):
             # same correspondences as at the base point
@@ -161,6 +167,15 @@ class TestCdLoss:
 
         fd = numeric_gradient(frozen_loss, a.ravel(), h=1e-7).reshape(20, 3)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
+
+    def test_pairs_are_nearest_neighbors(self):
+        rng = np.random.default_rng(4)
+        a = rng.uniform(size=(60, 3))
+        b = rng.uniform(size=(40, 3))
+        _, _, (idx_ab, idx_ba) = cd_loss_3d(PointCloud(a), PointCloud(b))
+        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_array_equal(idx_ab, d2.argmin(axis=1))
+        np.testing.assert_array_equal(idx_ba, d2.argmin(axis=0))
 
     def test_empty(self):
         with pytest.raises(EmptyCloud):
@@ -296,18 +311,24 @@ class TestPoseOnlyBackward:
             np.testing.assert_array_equal(g, 7.0)
 
 
+def _normal_loss(synth: PointCloud, gt: PointCloud) -> float:
+    """`normal_loss` over the correspondences of `cd_loss_3d`, as the CD
+    step pairs them."""
+    return normal_loss(synth, gt, cd_loss_3d(synth, gt)[2])
+
+
 class TestNormalLoss:
     def test_identical_zero(self):
         rng = np.random.default_rng(4)
         pts = PointCloud(rng.uniform(size=(100, 3)))
-        assert normal_loss(pts, pts, k=8) < 1e-12
+        assert _normal_loss(pts, pts) < 1e-12
 
     def test_parallel_planes_near_zero(self):
         rng = np.random.default_rng(5)
         a = np.column_stack([rng.uniform(size=80), rng.uniform(size=80),
                              np.zeros(80)])
         b = a + np.array([0.0, 0.0, 0.3])
-        val = normal_loss(PointCloud(a), PointCloud(b), k=8)
+        val = _normal_loss(PointCloud(a), PointCloud(b))
         assert val < 1e-9
 
     def test_perpendicular_planes(self):
@@ -316,7 +337,7 @@ class TestNormalLoss:
                              np.zeros(120)])
         b = np.column_stack([rng.uniform(size=120), np.zeros(120),
                              rng.uniform(size=120)])
-        val = normal_loss(PointCloud(a), PointCloud(b), k=8)
+        val = _normal_loss(PointCloud(a), PointCloud(b))
         # |(0,0,1) -/+ (0,1,0)|_1 = 2 per pair, both directions
         np.testing.assert_allclose(val, 4.0, atol=1e-6)
 
@@ -324,7 +345,7 @@ class TestNormalLoss:
         rng = np.random.default_rng(7)
         a = np.column_stack([rng.uniform(size=60), rng.uniform(size=60),
                              np.zeros(60)])
-        val = normal_loss(PointCloud(a), PointCloud(a + [0.0, 0.0, 0.05]), k=8)
+        val = _normal_loss(PointCloud(a), PointCloud(a + [0.0, 0.0, 0.05]))
         assert val < 1e-9
 
 
@@ -414,7 +435,7 @@ def _ate(traj_a: Trajectory, traj_b: Trajectory) -> float:
 class TestTrainLoop:
     def test_requires_three_frames(self):
         images, gt, init = make_dataset(frames=4)
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(TooFewFrames):
             train(images[:2], Trajectory(gt.frame_ids[:2], gt.poses[:2]),
                   SMALL_SCANNER, small_cfg())
 
