@@ -206,7 +206,7 @@ class RenderTape:
     drop_logit: np.ndarray  # (n,)
     drop_prob: np.ndarray   # (n,)
     dirs_world: np.ndarray  # (n, 3)
-    pose_phi: np.ndarray | None
+    pose_phi: np.ndarray    # (3,) rotation of the pose the rays came from
     consumed: bool = dc_field(default=False)
 
 
@@ -268,15 +268,16 @@ def _mlp_backward(params: FieldParams, cache: dict, d_sigma: np.ndarray,
 
 def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
                 t_near: float, t_far: float, num_samples: int,
-                alpha: float | None = None,
-                rng: np.random.Generator | None = None,
-                pose_phi: np.ndarray | None = None):
+                pose_phi: np.ndarray, alpha: float | None = None,
+                rng: np.random.Generator | None = None):
     """Batched volume rendering of depth / intensity / ray-drop.
 
     Samples are stratified uniform in [t_near, t_far], one range for every
     ray (deterministic strata midpoints when rng is None). Positions
     outside the unit cube are clamped for the encoders; clamped coordinates
-    pass no gradient back to the pose. Returns (depth, intensity,
+    pass no gradient back to the pose. `pose_phi` is the rotation of the
+    pose the rays came from (`pose_rays`); `backward` needs it for the
+    rotation block of the pose gradient. Returns (depth, intensity,
     drop_prob, tape).
     """
     dtype = params.dtype
@@ -323,8 +324,7 @@ def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
     reductions run. The pose gradient is the same bit for bit.
 
     The pose enters through ray origin and direction: x_i = o + t_i * R d.
-    Gradients through clamped sample coordinates are zero. When the tape
-    was built without `pose_phi`, the phi block is computed about phi = 0.
+    Gradients through clamped sample coordinates are zero.
     """
     if tape is None or tape.consumed:
         raise TapeMissing("render tape absent or already consumed")
@@ -358,8 +358,7 @@ def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
     pose_grad[:3] = dx.sum(axis=(0, 1), dtype=np.float64)
     v = (tape.ts[:, :, None] * dx).sum(axis=1, dtype=np.float64)   # (n, 3)
     torque = np.cross(tape.dirs_world.astype(np.float64), v).sum(axis=0)
-    phi = np.zeros(3) if tape.pose_phi is None else tape.pose_phi
-    pose_grad[3:] = so3_left_jacobian(phi).T @ torque
+    pose_grad[3:] = so3_left_jacobian(tape.pose_phi).T @ torque
     return pose_grad
 
 

@@ -32,17 +32,21 @@ from .errors import DegenerateNeighborhood, EmptyCloud, NonPositiveVoxel
 SERIAL_NEIGHBOURS = 8192
 
 
-def query_workers(neighbours: int) -> int:
-    """Threads for one batched kd-tree query returning `neighbours`
-    neighbours in all: one below SERIAL_NEIGHBOURS, else the CPUs in this
-    process's affinity mask (so a `taskset` cap is honoured), else the CPU
-    count."""
-    if neighbours < SERIAL_NEIGHBOURS:
-        return 1
+def usable_cpus() -> int:
+    """The CPUs in this process's affinity mask (so a `taskset` cap is
+    honoured), else the CPU count."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:             # no affinity API on this platform
         return os.cpu_count() or 1
+
+
+def query_workers(neighbours: int) -> int:
+    """Threads for one batched kd-tree query returning `neighbours`
+    neighbours in all: one below SERIAL_NEIGHBOURS, else `usable_cpus()`,
+    the count that `trainer.render_full_image` also splits its chunks
+    over."""
+    return 1 if neighbours < SERIAL_NEIGHBOURS else usable_cpus()
 
 
 class KdTree:

@@ -115,8 +115,10 @@ class TestRender:
         params = tiny_params()
         origins = np.full((3, 3), 0.5)
         dirs = np.tile([1.0, 0.0, 0.0], (3, 1))
-        a = render_rays(params, origins, dirs, 0.05, 0.45, 16)[:3]
-        b = render_rays(params, origins, dirs, 0.05, 0.45, 16)[:3]
+        a = render_rays(params, origins, dirs, 0.05, 0.45, 16,
+                        np.zeros(3))[:3]
+        b = render_rays(params, origins, dirs, 0.05, 0.45, 16,
+                        np.zeros(3))[:3]
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -124,9 +126,9 @@ class TestRender:
         params = tiny_params()
         origins = np.full((2, 3), 0.5)
         dirs = np.tile([0.0, 1.0, 0.0], (2, 1))
-        a = render_rays(params, origins, dirs, 0.05, 0.45, 16,
+        a = render_rays(params, origins, dirs, 0.05, 0.45, 16, np.zeros(3),
                         rng=np.random.default_rng(5))[:3]
-        b = render_rays(params, origins, dirs, 0.05, 0.45, 16,
+        b = render_rays(params, origins, dirs, 0.05, 0.45, 16, np.zeros(3),
                         rng=np.random.default_rng(5))[:3]
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
@@ -134,7 +136,8 @@ class TestRender:
     def test_render_ray_output_shape(self):
         params = tiny_params()
         depth, intens, drop, tape = render_rays(
-            params, [[0.5, 0.5, 0.5]], [[1.0, 0.0, 0.0]], 0.05, 0.45, 8)
+            params, [[0.5, 0.5, 0.5]], [[1.0, 0.0, 0.0]], 0.05, 0.45, 8,
+            np.zeros(3))
         assert depth.shape == intens.shape == drop.shape == (1,)
         assert tape.weights.shape == (1, 8)
         assert 0.0 <= drop[0] <= 1.0
@@ -148,7 +151,7 @@ class TestRender:
         dirs = rng.normal(size=(n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         _, _, _, tape = render_rays(params, origins, dirs, 0.05, 0.4, 16,
-                                    rng=rng)
+                                    np.zeros(3), rng=rng)
         assert (tape.weights >= 0).all()
         assert (tape.weights.sum(axis=1) <= 1.0 + 1e-9).all()
 
@@ -264,8 +267,8 @@ class TestCheckpoint:
         # render agreement
         origins = np.full((2, 3), 0.5)
         dirs = np.tile([1.0, 0.0, 0.0], (2, 1))
-        a = render_rays(params, origins, dirs, 0.05, 0.4, 8)[0]
-        b = render_rays(loaded, origins, dirs, 0.05, 0.4, 8)[0]
+        a = render_rays(params, origins, dirs, 0.05, 0.4, 8, np.zeros(3))[0]
+        b = render_rays(loaded, origins, dirs, 0.05, 0.4, 8, np.zeros(3))[0]
         np.testing.assert_array_equal(a, b)
 
     def test_loads_layout_with_sinusoidal_levels(self, tmp_path):

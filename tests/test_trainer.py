@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -263,6 +265,56 @@ class TestRenderFullImage:
             out.depth, np.where(valid, depth, -1.0).reshape(shape))
         np.testing.assert_array_equal(
             out.intensity, np.where(valid, intens, 0.0).reshape(shape))
+
+    def test_same_image_for_any_worker_count(self, monkeypatch):
+        params = _textured_params()
+        cfg = small_cfg()
+        n_pix = SMALL_SCANNER.beams * SMALL_SCANNER.azimuth_steps
+        budget = cfg.samples_per_ray * 500
+        monkeypatch.setattr(trainer, "RENDER_CHUNK_SAMPLES", budget)
+        d_sensor = sensor_directions(
+            SMALL_SCANNER.beams, SMALL_SCANNER.azimuth_steps,
+            SMALL_SCANNER.fov_up_deg, SMALL_SCANNER.fov_down_deg
+        ).reshape(-1, 3)
+        _, _, depth, intens, drop, _ = render_batch(
+            params, self.POSE, d_sensor, slice(None), SMALL_SCANNER, cfg)
+        valid = drop <= 0.5
+        assert 0 < valid.sum() < n_pix
+        shape = (SMALL_SCANNER.beams, SMALL_SCANNER.azimuth_steps)
+        expected = (np.where(valid, depth, -1.0).reshape(shape),
+                    np.where(valid, intens, 0.0).reshape(shape),
+                    valid.reshape(shape))
+
+        def spy(params, pose, d_sensor, pix, *args):
+            chunks.append((pix.start, pix.stop, threading.get_ident()))
+            return render_batch(params, pose, d_sensor, pix, *args)
+
+        monkeypatch.setattr(trainer, "render_batch", spy)
+        # Frequent thread switches, so that two chunks writing one pixel
+        # would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(trainer, "usable_cpus", lambda: workers)
+                chunks = []
+                out = render_full_image(params, self.POSE, SMALL_SCANNER,
+                                        cfg)
+                for got, want in zip((out.depth, out.intensity, out.valid),
+                                     expected):
+                    np.testing.assert_array_equal(got, want)
+                # The chunks tile the image with neither gap nor overlap,
+                # each within one worker's share of the sample budget.
+                bounds = sorted((lo, hi) for lo, hi, _ in chunks)
+                assert [lo for lo, _ in bounds] == \
+                    [0] + [hi for _, hi in bounds[:-1]]
+                assert bounds[-1][1] == n_pix
+                widest = max(hi - lo for lo, hi in bounds)
+                assert widest * cfg.samples_per_ray <= budget // workers
+                caller = threading.get_ident()
+                assert any(t == caller for *_, t in chunks) == (workers == 1)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_peak_memory_independent_of_image_size(self):
         params = _textured_params()
