@@ -2,22 +2,28 @@
 and the coarse-to-fine level mask.
 
 Each encoder has a batched forward that records a cache, and a backward
-that scatters gradients into the parameter tables and returns gradients
-with respect to the input positions. Gradients accumulate in
-float64 regardless of the table dtype.
+that returns gradients with respect to the input positions. The table
+gradients are a separate step, `table_scatters`, which runs once over all
+the pieces a batch was encoded in; the backward only hands it the
+gradient of every plane sample and hash-level blend. Table gradients
+accumulate in float64 regardless of the table dtype.
 
 The hash grid follows Instant-NGP: the 8 corners of a point's cell at each
 level hash to rows of a power-of-two table T by
 (i*p1 xor j*p2 xor k*p3) & (T - 1), and all levels are gathered from the
-flattened table at once. The forward caches the corner rows, weights and
-gathered values plus the cell offsets `frac`, not the weight gradients;
-the backward rebuilds those from `frac`, so a forward-only caller never
-computes them. The planar encoder caches its offsets the same way.
+flattened table at once. The forward caches the corner rows and the cell
+offsets `frac` and keeps a reference to the tables. Everything else the
+reverse pass needs, it rebuilds bit for bit: the gathered corner values
+(gathered again), the corner weights and their gradients (from `frac`).
+A forward-only caller never computes the weight gradients, and the cache
+stays small. The planar encoder caches its rows, weights and offsets the
+same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -105,6 +111,12 @@ def _per_corner(op, a0, a1, a2, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _corner_weights(frac: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Trilinear weights of the 8 cell corners, from the cell offsets
+    `frac` (3, ...) into `out` (..., 8)."""
+    return _per_corner(np.multiply, *zip(1.0 - frac, frac), out=out)
+
+
 def hash_encode_forward(x: np.ndarray, tables: np.ndarray, cfg: EncodingConfig):
     """Trilinear blend of 8 hashed corner features per level, concatenated.
 
@@ -116,10 +128,10 @@ def hash_encode_forward(x: np.ndarray, tables: np.ndarray, cfg: EncodingConfig):
     the exact products); the products are formed once per axis and all
     levels are gathered at once.
     Returns (features (n, L*F), cache). The cache holds, level-major, the
-    flat rows `idx` (L, n, 8), the corner `weights` (L, n, 8), the gathered
-    `vals` (L, n, 8, F), and the cell offsets `frac` (3, L, n) and
-    resolutions `res` (L,) from which the backward rebuilds the weight
-    gradients.
+    flat rows `idx` (L, n, 8), the cell offsets `frac` (3, L, n) and
+    resolutions `res` (L,), and the `tables` themselves, from which the
+    reverse pass rebuilds the corner weights, their gradients and the
+    gathered values.
     """
     x = check_domain(x)
     n = x.shape[0]
@@ -128,9 +140,7 @@ def hash_encode_forward(x: np.ndarray, tables: np.ndarray, cfg: EncodingConfig):
     pos = x.T[:, None, :] * res[:, None]                      # (3, L, n)
     floor = np.floor(pos)
     frac = pos - floor                                        # in [0, 1)
-    one = 1.0 - frac
-    weights = _per_corner(np.multiply, *zip(one, frac),
-                          out=np.empty((levels, n, 8), dtype=x.dtype))
+    weights = _corner_weights(frac, np.empty((levels, n, 8), dtype=x.dtype))
 
     base = floor.astype(np.uint32)                            # in [0, r_l]
     mask = np.uint32(t - 1)
@@ -146,31 +156,19 @@ def hash_encode_forward(x: np.ndarray, tables: np.ndarray, cfg: EncodingConfig):
 
     vals = np.take(tables.reshape(levels * t, f), idx, axis=0)  # (L, n, 8, F)
     features = (weights[..., None, :] @ vals)[:, :, 0, :]
-    cache = {"idx": idx, "weights": weights, "vals": vals,
-             "frac": frac, "res": res}
+    cache = {"idx": idx, "frac": frac, "res": res, "tables": tables}
     return features.transpose(1, 0, 2).reshape(n, levels * f), cache
 
 
-def hash_encode_backward(cache, upstream: np.ndarray,
-                         grad_tables: np.ndarray | None, cfg: EncodingConfig):
-    """Scatter upstream feature gradients into the tables; return d/dx.
-
-    The scatter is one bincount per channel over the flat rows of all
-    levels; grad_tables None skips it. The weight gradients (n, 8, 3) are
-    rebuilt, level by level, from the cached `frac` and `res`.
-    """
-    weights, vals, frac = cache["weights"], cache["vals"], cache["frac"]
-    levels, n = weights.shape[:2]
+def hash_encode_backward(cache, upstream: np.ndarray, cfg: EncodingConfig):
+    """d/dx of `hash_encode_forward` under the feature gradients `upstream`
+    (n, L*F). Level by level, the corner values are gathered again and the
+    weight gradients (n, 8, 3) rebuilt from the cached `frac` and `res`."""
+    idx, frac = cache["idx"], cache["frac"]
+    levels, n = idx.shape[:2]
     f = cfg.features_per_level
+    table = cache["tables"].reshape(-1, f)
     dy = upstream.reshape(n, levels, f).transpose(1, 0, 2)    # (L, n, F)
-    if grad_tables is not None:
-        flat_idx = cache["idx"].reshape(-1)
-        size = levels * grad_tables.shape[1]
-        for ch in range(f):
-            contrib = weights * dy[:, :, ch, None]            # (L, n, 8)
-            grad_tables[:, :, ch] += np.bincount(
-                flat_idx, weights=contrib.reshape(-1),
-                minlength=size).reshape(levels, -1)
     one = 1.0 - frac
     wgrads = np.empty((n, 8, 3), dtype=frac.dtype)
     dx = np.zeros((n, 3), dtype=upstream.dtype)
@@ -181,9 +179,10 @@ def hash_encode_backward(cache, upstream: np.ndarray,
             _per_corner(np.multiply, *w[:axis], (-1.0, 1.0), *w[axis + 1:],
                         out=wgrads[..., axis])
         wgrads *= cache["res"][level]
+        vals = np.take(table, idx[level], axis=0)             # (n, 8, F)
         # Per point (8, F) @ (F, 1), then (1, 8) @ (8, 3): the matmul shapes
         # fix how the sums round, so d/dx matches the level-by-level form.
-        val_dot = (vals[level] @ dy[level][..., None])[..., 0]  # (n, 8)
+        val_dot = (vals @ dy[level][..., None])[..., 0]       # (n, 8)
         dx += (val_dot[:, None, :] @ wgrads)[:, 0, :]
     return dx
 
@@ -211,51 +210,46 @@ def _bilinear_setup(uv: np.ndarray, size: int):
 def planar_encode_forward(x: np.ndarray, planes: np.ndarray, cfg: EncodingConfig):
     """Channelwise product of bilinear samples from the xy, xz, yz planes.
 
-    planes: (3, M, M, C). Returns (features (n, C), cache).
+    planes: (3, M, M, C). Returns (features (n, C), cache); the cache keeps
+    each plane's corner rows, weights and offsets, the samples and a
+    reference to `planes`.
     """
     x = check_domain(x)
     m = cfg.planar_resolution
     samples = []
-    cache_planes = []
+    corners = []
     for p, (au, av) in enumerate(_PLANE_AXES):
         uv = x[:, (au, av)]
         flat, weights, frac = _bilinear_setup(uv, m)
         table = planes[p].reshape(m * m, -1)                       # (M*M, C)
         vals = np.take(table, flat, axis=0)                        # (n, 4, C)
         samples.append((weights[:, None, :] @ vals)[:, 0, :])
-        cache_planes.append((flat, weights, frac, vals, au, av))
+        corners.append((flat, weights, frac, au, av))
     features = samples[0] * samples[1] * samples[2]
-    return features, {"samples": samples, "planes": cache_planes,
-                      "n": x.shape[0]}
+    return features, {"samples": samples, "corners": corners,
+                      "planes": planes, "n": x.shape[0]}
 
 
-def planar_encode_backward(cache, upstream: np.ndarray,
-                           grad_planes: np.ndarray | None,
-                           cfg: EncodingConfig):
-    """Product rule across the three planes, then bilinear scatter (skipped
-    when grad_planes is None); the weight gradients du, dv come from the
-    cached offsets."""
+def planar_encode_backward(cache, upstream: np.ndarray, cfg: EncodingConfig):
+    """Product rule across the three planes. Returns (d/dx, d/d samples),
+    the latter (n, 3C) plane by plane. The corner values are gathered again;
+    the weight gradients du, dv come from the cached offsets."""
     m = cfg.planar_resolution
     s0, s1, s2 = cache["samples"]
     others = [s1 * s2, s0 * s2, s0 * s1]
     dx = np.zeros((cache["n"], 3), dtype=upstream.dtype)
-    for p, (flat, weights, frac, vals, au, av) in enumerate(cache["planes"]):
+    dsamples = []
+    for p, (flat, _, frac, au, av) in enumerate(cache["corners"]):
         dsample = upstream * others[p]                             # (n, C)
-        if grad_planes is not None:
-            contrib = weights[:, :, None] * dsample[:, None, :]    # (n, 4, C)
-            flat_all = flat.reshape(-1)
-            gp = grad_planes[p].reshape(m * m, -1)
-            for ch in range(gp.shape[1]):
-                gp[:, ch] += np.bincount(flat_all,
-                                         weights=contrib[:, :, ch].reshape(-1),
-                                         minlength=m * m)
+        vals = np.take(cache["planes"][p].reshape(m * m, -1), flat, axis=0)
         fu, fv = frac[:, 0], frac[:, 1]
         du = np.stack([-(1 - fv), (1 - fv), -fv, fv], axis=1) * (m - 1)
         dv = np.stack([-(1 - fu), -fu, (1 - fu), fu], axis=1) * (m - 1)
         val_dot = (vals @ dsample[:, :, None])[:, :, 0]            # (n, 4)
         dx[:, au] += (val_dot * du).sum(axis=1)
         dx[:, av] += (val_dot * dv).sum(axis=1)
-    return dx
+        dsamples.append(dsample)
+    return dx, np.concatenate(dsamples, axis=1)
 
 
 def mask_weights(alpha: float, cfg: EncodingConfig):
@@ -297,18 +291,78 @@ def encode_forward(x: np.ndarray, planes: np.ndarray, tables: np.ndarray,
     return features, cache
 
 
-def encode_backward(cache, upstream: np.ndarray,
-                    grad_planes: np.ndarray | None,
-                    grad_tables: np.ndarray | None, cfg: EncodingConfig):
-    """Backward of `encode_forward`; returns d/dx. Gradient buffers given
-    as None receive nothing (a frozen field)."""
+def encode_backward(cache, upstream: np.ndarray, cfg: EncodingConfig):
+    """Backward of `encode_forward` up to, not into, the tables.
+
+    Returns (d/dx (n, 3), table upstream (n, 3C + L*F)): the gradient of
+    each plane's bilinear sample, then of each hash level's blend, c2f mask
+    applied. `table_scatters` turns the table upstream into table
+    gradients; a frozen field drops it.
+    """
     c = cfg.planar_channels
     up_planar = upstream[:, :c] * float(cache["w_planar"])
     up_hash = upstream[:, c:].copy()
     f = cfg.features_per_level
     for level in range(cfg.levels):
         up_hash[:, level * f:(level + 1) * f] *= cache["w_hash"][level]
-    dx_p = planar_encode_backward(cache["planar"], up_planar, grad_planes, cfg)
-    dx_h = hash_encode_backward(cache["hash"], up_hash, grad_tables, cfg)
-    return dx_p + dx_h
+    dx_p, d_samples = planar_encode_backward(cache["planar"], up_planar, cfg)
+    dx_h = hash_encode_backward(cache["hash"], up_hash, cfg)
+    return dx_p + dx_h, np.concatenate([d_samples, up_hash], axis=1)
 
+
+def _cat(arrays: list[np.ndarray], axis: int = 0) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+
+
+def _planar_scatter(caches, dsample, grad_plane, plane: int, m: int) -> None:
+    """Add one plane's gradient: one bincount per channel over the corner
+    rows of every piece."""
+    flat = _cat([k["corners"][plane][0] for k in caches]).reshape(-1)
+    weights = _cat([k["corners"][plane][1] for k in caches])
+    contrib = weights[:, :, None] * dsample[:, None, :]            # (n, 4, C)
+    gp = grad_plane.reshape(m * m, -1)
+    for ch in range(gp.shape[1]):
+        gp[:, ch] += np.bincount(flat, weights=contrib[:, :, ch].reshape(-1),
+                                 minlength=m * m)
+
+
+def _hash_scatter(caches, dy, grad_tables, level: int, t: int) -> None:
+    """Add one hash level's gradient: one bincount per channel over the
+    level's corner rows (which lie in [level*T, (level+1)*T)) of every
+    piece, with the corner weights rebuilt from the offsets."""
+    rows = _cat([k["idx"][level] for k in caches]).reshape(-1)
+    frac = _cat([k["frac"][:, level] for k in caches], axis=1)    # (3, n)
+    weights = _corner_weights(frac, np.empty((frac.shape[1], 8), frac.dtype))
+    for ch in range(dy.shape[1]):
+        contrib = weights * dy[:, ch, None]                       # (n, 8)
+        grad_tables[level, :, ch] += np.bincount(
+            rows, weights=contrib.reshape(-1),
+            minlength=(level + 1) * t)[level * t:]
+
+
+def table_scatters(caches: list, table_up: np.ndarray,
+                   grad_planes: np.ndarray, grad_tables: np.ndarray,
+                   cfg: EncodingConfig) -> list:
+    """The table gradients of a batch that was encoded in pieces, as
+    independent tasks.
+
+    `caches` are the `encode_forward` caches of consecutive pieces of the
+    batch, and `table_up` stacks, in the same order, the table upstreams
+    that `encode_backward` returned for them. Returns one zero-argument
+    callable per plane and per hash level; each adds into its own slice of
+    `grad_planes` (3, M, M, C) or `grad_tables` (L, T, F), so they may run
+    at once. Each bincount runs over the whole batch in point order, so the
+    sums do not depend on how the batch was cut.
+    """
+    c, f = cfg.planar_channels, cfg.features_per_level
+    planar = [k["planar"] for k in caches]
+    hashed = [k["hash"] for k in caches]
+    tasks = [partial(_planar_scatter, planar, table_up[:, p * c:(p + 1) * c],
+                     grad_planes[p], p, cfg.planar_resolution)
+             for p in range(3)]
+    first = 3 * c
+    tasks += [partial(_hash_scatter, hashed,
+                      table_up[:, first + l * f:first + (l + 1) * f],
+                      grad_tables, l, cfg.hash_table_size)
+              for l in range(cfg.levels)]
+    return tasks

@@ -58,13 +58,17 @@ class TapeMissing(GeonlfError):
 
 
 class NonFiniteLoss(GeonlfError):
-    """Raised when a training loss turns NaN/inf; carries diagnostics."""
+    """Raised when a training loss turns NaN/inf; carries diagnostics.
+    `culprit` names the first parameter block or pose found non-finite, or
+    is None when all are finite."""
 
-    def __init__(self, message, iteration=None, frame=None, terms=None):
+    def __init__(self, message, iteration=None, frame=None, terms=None,
+                 culprit=None):
         super().__init__(message)
         self.iteration = iteration
         self.frame = frame
         self.terms = dict(terms) if terms else {}
+        self.culprit = culprit
 
 
 class ConfigError(GeonlfError):

@@ -12,14 +12,18 @@ from __future__ import annotations
 
 import json
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 from scipy.special import expit
 
-from .encoding import EncodingConfig, encode_backward, encode_forward
+from .encoding import (EncodingConfig, encode_backward, encode_forward,
+                       table_scatters)
 from .errors import ShapeMismatch, TapeMissing
 from .geometry import Se3Param, so3_exp, so3_left_jacobian
+from .spatial import usable_cpus
 
 CHECKPOINT_MAGIC = b"GNLF"
 CHECKPOINT_VERSION = 1
@@ -187,26 +191,60 @@ def _composite_backward(g_w: np.ndarray, weights: np.ndarray,
     return g_w * _transmittance(tau) * np.exp(-tau) - suffix
 
 
+# Samples per shard: every `render_rays` call is cut into runs of this many
+# samples (256 rays at 64 per ray), which render on the shared pool. The
+# size is fixed, not a share of the CPU count, so every machine does the
+# same arithmetic: OpenBLAS rounds the (n x 32) @ (32 x 3) heads GEMM
+# differently below about 12k rows (its small-matrix kernel).
+SHARD_SAMPLES = 16_384
+
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+
+
+def _run(tasks: list) -> list:
+    """Run zero-argument callables and return their results in order, on
+    one shared pool of `usable_cpus()` threads, or on the calling thread
+    when there is one CPU or one task. A task must not submit to the pool
+    itself: once every thread waits on a nested task, nothing runs."""
+    global _pool
+    cpus = usable_cpus()
+    if cpus == 1 or len(tasks) == 1:
+        return [task() for task in tasks]
+    if _pool is None or _pool[0] != cpus:
+        if _pool is not None:
+            _pool[1].shutdown(wait=False)
+        _pool = (cpus, ThreadPoolExecutor(cpus, thread_name_prefix="geonlf"))
+    return list(_pool[1].map(lambda task: task(), tasks))
+
+
+@dataclass
+class _Shard:
+    """One shard's rays and what its reverse pass needs."""
+
+    rays: slice
+    inside: np.ndarray | None = None    # (rays*N, 3) 1.0 where not clamped
+    enc_cache: dict | None = None
+    mlp_cache: dict | None = None
+
+
 @dataclass
 class RenderTape:
-    """Forward intermediates needed for the reverse pass."""
+    """Forward intermediates needed for the reverse pass: whole-batch
+    arrays, and the encoder and MLP caches shard by shard."""
 
     params: FieldParams
     n_rays: int
     n_samples: int
     ts: np.ndarray          # (n, N) sample distances
     delta: np.ndarray       # (n, N)
-    inside: np.ndarray      # (n*N, 3) 1.0 where the sample was not clamped
-    enc_cache: dict
-    mlp_cache: dict
     sigma: np.ndarray       # (n, N)
     s_vals: np.ndarray      # (n, N)
     l_vals: np.ndarray      # (n, N)
     weights: np.ndarray
-    drop_logit: np.ndarray  # (n,)
     drop_prob: np.ndarray   # (n,)
     dirs_world: np.ndarray  # (n, 3)
     pose_phi: np.ndarray    # (3,) rotation of the pose the rays came from
+    shards: list[_Shard]
     consumed: bool = dc_field(default=False)
 
 
@@ -223,28 +261,46 @@ def _mlp_forward(params: FieldParams, feats: np.ndarray):
     sig_pre, int_pre, drop_pre = heads[:, 0], heads[:, 1], heads[:, 2]
     sigma = softplus(sig_pre)
     s_val = expit(int_pre)
-    cache = {"feats": feats, "h1_pre": h1_pre, "h1": h1,
-             "h2_pre": h2_pre, "h2": h2, "sig_pre": sig_pre,
-             "int_pre": int_pre, "s_val": s_val, "w_heads": w_heads}
+    # h1 and h2 are not kept: the reverse pass takes softplus again.
+    cache = {"feats": feats, "h1_pre": h1_pre, "h2_pre": h2_pre,
+             "sig_pre": sig_pre, "s_val": s_val, "w_heads": w_heads}
     return sigma, s_val, drop_pre, cache
 
 
 def _mlp_backward(params: FieldParams, cache: dict, d_sigma: np.ndarray,
-                  d_s: np.ndarray, d_drop: np.ndarray,
-                  field_grads: bool) -> np.ndarray:
-    """d loss / d features; accumulates the weight and bias gradients into
-    params.grads only when `field_grads` is set."""
-    p, g = params.params, params.grads
+                  d_s: np.ndarray, d_drop: np.ndarray, keep: dict | None,
+                  rows: slice) -> np.ndarray:
+    """d loss / d features of one shard. With `keep`, also writes rows
+    `rows` of the whole-batch buffers that the weight reductions of
+    `_mlp_weight_grads` read: each layer's input and pre-activation
+    gradient."""
+    p = params.params
     d_sig_pre = d_sigma * expit(cache["sig_pre"])
     d_int_pre = d_s * cache["s_val"] * (1.0 - cache["s_val"])
     d_heads = np.stack([d_sig_pre, d_int_pre, d_drop], axis=1)   # (n, 3)
+    d_h2 = d_heads @ cache["w_heads"].T
+    d_h2_pre = d_h2 * expit(cache["h2_pre"])
+    d_h1 = d_h2_pre @ p["w2"].T
+    d_h1_pre = d_h1 * expit(cache["h1_pre"])
+    if keep is not None:
+        keep["d_heads"][rows] = d_heads
+        keep["h2"][rows] = softplus(cache["h2_pre"])
+        keep["d_h2_pre"][rows] = d_h2_pre
+        keep["h1"][rows] = softplus(cache["h1_pre"])
+        keep["d_h1_pre"][rows] = d_h1_pre
+        keep["feats"][rows] = cache["feats"]
+    return d_h1_pre @ p["w1"].T
 
-    # Parameter-gradient reductions run in float64 even when the
-    # activations are float32. Each runs as soon as its inputs exist, so
-    # that its float64 copies are not alive next to the later layers'
-    # activation gradients.
-    if field_grads:
-        head_grads = cache["h2"].T.astype(np.float64) @ d_heads.astype(np.float64)
+
+def _mlp_weight_grads(params: FieldParams, keep: dict) -> list:
+    """The weight and bias gradients of the MLP over the whole batch, one
+    task per layer. They reduce in float64 even when the activations are
+    float32; each task drops its buffers once its sums are taken."""
+    g = params.grads
+
+    def heads():
+        d_heads = keep.pop("d_heads")
+        head_grads = keep.pop("h2").T.astype(np.float64) @ d_heads.astype(np.float64)
         g["w_sigma"] += head_grads[:, 0]
         g["w_int"] += head_grads[:, 1]
         g["w_drop"] += head_grads[:, 2]
@@ -253,17 +309,20 @@ def _mlp_backward(params: FieldParams, cache: dict, d_sigma: np.ndarray,
         g["b_int"] += bias[1]
         g["b_drop"] += bias[2]
 
-    d_h2 = d_heads @ cache["w_heads"].T
-    d_h2_pre = d_h2 * expit(cache["h2_pre"])
-    if field_grads:
-        g["w2"] += cache["h1"].T.astype(np.float64) @ d_h2_pre.astype(np.float64)
-        g["b2"] += d_h2_pre.sum(axis=0, dtype=np.float64)
-    d_h1 = d_h2_pre @ p["w2"].T
-    d_h1_pre = d_h1 * expit(cache["h1_pre"])
-    if field_grads:
-        g["w1"] += cache["feats"].T.astype(np.float64) @ d_h1_pre.astype(np.float64)
-        g["b1"] += d_h1_pre.sum(axis=0, dtype=np.float64)
-    return d_h1_pre @ p["w1"].T
+    def layer(inputs: str, grad: str, w: str, b: str):
+        def task():
+            d_pre = keep.pop(grad)
+            g[w] += keep.pop(inputs).T.astype(np.float64) @ d_pre.astype(np.float64)
+            g[b] += d_pre.sum(axis=0, dtype=np.float64)
+        return task
+
+    return [heads, layer("h1", "d_h2_pre", "w2", "b2"),
+            layer("feats", "d_h1_pre", "w1", "b1")]
+
+
+def _shards(n: int, num_samples: int) -> list[_Shard]:
+    rays = max(SHARD_SAMPLES // num_samples, 1)
+    return [_Shard(slice(lo, min(lo + rays, n))) for lo in range(0, n, rays)]
 
 
 def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
@@ -273,12 +332,18 @@ def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
     """Batched volume rendering of depth / intensity / ray-drop.
 
     Samples are stratified uniform in [t_near, t_far], one range for every
-    ray (deterministic strata midpoints when rng is None). Positions
-    outside the unit cube are clamped for the encoders; clamped coordinates
-    pass no gradient back to the pose. `pose_phi` is the rotation of the
-    pose the rays came from (`pose_rays`); `backward` needs it for the
-    rotation block of the pose gradient. Returns (depth, intensity,
-    drop_prob, tape).
+    ray (deterministic strata midpoints when rng is None); the whole
+    batch's jitter is drawn before anything else. Positions outside the
+    unit cube are clamped for the encoders; clamped coordinates pass no
+    gradient back to the pose. `pose_phi` is the rotation of the pose the
+    rays came from (`pose_rays`); `backward` needs it for the rotation
+    block of the pose gradient. Returns (depth, intensity, drop_prob,
+    tape).
+
+    The rays are cut into shards of SHARD_SAMPLES samples, which render on
+    the pool of `usable_cpus()` threads. Each ray is rendered within one
+    shard, and the shards do not depend on the CPU count, so neither do
+    the outputs, bit for bit.
     """
     dtype = params.dtype
     origins = np.atleast_2d(np.asarray(origins, dtype=dtype))
@@ -292,25 +357,32 @@ def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
     delta = np.diff(ts, axis=1)
     delta = np.concatenate([delta, dtype.type(t_far) - ts[:, -1:]], axis=1)
 
-    x = origins[:, None, :] + ts[:, :, None] * dirs[:, None, :]
-    x_flat = x.reshape(-1, 3)
-    clamped = np.clip(x_flat, 0.0, 1.0)
-    inside = ((x_flat >= 0.0) & (x_flat <= 1.0)).astype(dtype)
+    sigma, s_vals, l_vals, weights = (np.empty((n, num_samples), dtype)
+                                      for _ in range(4))
+    depth, intensity, drop_logit = np.empty(n), np.empty(n), np.empty(n)
 
-    feats, enc_cache = encode_forward(
-        clamped, params.params["planes"], params.params["hash"], params.cfg, alpha)
-    sigma_flat, s_flat, l_flat, mlp_cache = _mlp_forward(params, feats)
-    sigma = sigma_flat.reshape(n, num_samples)
-    s_vals = s_flat.reshape(n, num_samples)
-    l_vals = l_flat.reshape(n, num_samples)
+    def render(shard: _Shard) -> None:
+        r = shard.rays
+        x = origins[r, None, :] + ts[r, :, None] * dirs[r, None, :]
+        x_flat = x.reshape(-1, 3)
+        clamped = np.clip(x_flat, 0.0, 1.0)
+        shard.inside = ((x_flat >= 0.0) & (x_flat <= 1.0)).astype(dtype)
+        feats, shard.enc_cache = encode_forward(
+            clamped, params.params["planes"], params.params["hash"],
+            params.cfg, alpha)
+        sigma_flat, s_flat, l_flat, shard.mlp_cache = _mlp_forward(params, feats)
+        sigma[r] = sigma_flat.reshape(-1, num_samples)
+        s_vals[r] = s_flat.reshape(-1, num_samples)
+        l_vals[r] = l_flat.reshape(-1, num_samples)
+        weights[r], depth[r], intensity[r], drop_logit[r] = composite(
+            sigma[r], delta[r], ts[r], s_vals[r], l_vals[r])
 
-    weights, depth, intensity, drop_logit = composite(sigma, delta, ts,
-                                                      s_vals, l_vals)
+    shards = _shards(n, num_samples)
+    _run([partial(render, shard) for shard in shards])
     drop_prob = expit(drop_logit)
 
-    tape = RenderTape(params, n, num_samples, ts, delta, inside, enc_cache,
-                      mlp_cache, sigma, s_vals, l_vals, weights,
-                      drop_logit, drop_prob, dirs, pose_phi)
+    tape = RenderTape(params, n, num_samples, ts, delta, sigma, s_vals,
+                      l_vals, weights, drop_prob, dirs, pose_phi, shards)
     return depth, intensity, drop_prob, tape
 
 
@@ -319,9 +391,17 @@ def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
     """Reverse pass: accumulates into tape.params.grads, returns the pose
     gradient as a 6-vector (d rho, d phi).
 
-    With `field_grads` False the field is treated as frozen: params.grads
-    is left untouched, and neither the table scatters nor the MLP weight
-    reductions run. The pose gradient is the same bit for bit.
+    Two stages on the pool of `render_rays`. Stage 1 runs per shard:
+    compositing, the MLP's activation gradients and the encoder's d/dx.
+    Stage 2 runs each whole-batch reduction once, as its own task, over
+    the shard outputs stacked in ray order: the pose sums, the MLP weight
+    and bias products, and one bincount per hash level and channel and per
+    plane and channel. The reductions see the same arrays whatever the CPU
+    count, so the gradients do not depend on it, bit for bit.
+
+    With `field_grads` False the field is treated as frozen: stage 2 is
+    the pose sums alone and params.grads is left untouched. The pose
+    gradient is the same bit for bit.
 
     The pose enters through ray origin and direction: x_i = o + t_i * R d.
     Gradients through clamped sample coordinates are zero.
@@ -339,26 +419,54 @@ def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
     d_logit = (d_drop_prob * tape.drop_prob * (1.0 - tape.drop_prob)).astype(dtype)
     d_depth = d_depth.astype(dtype)
     d_intensity = d_intensity.astype(dtype)
-    g_w = (d_depth[:, None] * tape.ts
-           + d_intensity[:, None] * tape.s_vals
-           + d_logit[:, None] * tape.l_vals)
-    d_s = d_intensity[:, None] * tape.weights
-    d_l = d_logit[:, None] * tape.weights
-    d_tau = _composite_backward(g_w, tape.weights, tape.sigma * tape.delta)
-    d_sigma = d_tau * tape.delta
 
-    d_feats = _mlp_backward(params, tape.mlp_cache, d_sigma.reshape(-1),
-                            d_s.reshape(-1), d_l.reshape(-1), field_grads)
-    tables = ((params.grads["planes"], params.grads["hash"]) if field_grads
-              else (None, None))
-    dx = encode_backward(tape.enc_cache, d_feats, *tables, params.cfg)
-    dx = (dx * tape.inside).reshape(n, m, 3)
+    # Stage-1 outputs, whole batch, one row per sample.
+    cfg, h = params.cfg, params.hidden_width
+    widths = {"dx": 3}
+    if field_grads:
+        widths.update(d_heads=3, h2=h, d_h2_pre=h, h1=h, d_h1_pre=h,
+                      feats=cfg.feature_dim,
+                      table_up=3 * cfg.planar_channels
+                      + cfg.levels * cfg.features_per_level)
+    out = {k: np.empty((n * m, w), dtype) for k, w in widths.items()}
+    keep = out if field_grads else None
+
+    def stage1(shard: _Shard) -> None:
+        r = shard.rays
+        rows = slice(r.start * m, r.stop * m)
+        ts, weights, delta = tape.ts[r], tape.weights[r], tape.delta[r]
+        g_w = (d_depth[r, None] * ts
+               + d_intensity[r, None] * tape.s_vals[r]
+               + d_logit[r, None] * tape.l_vals[r])
+        d_s = d_intensity[r, None] * weights
+        d_l = d_logit[r, None] * weights
+        d_tau = _composite_backward(g_w, weights, tape.sigma[r] * delta)
+        d_sigma = d_tau * delta
+        d_feats = _mlp_backward(params, shard.mlp_cache, d_sigma.reshape(-1),
+                                d_s.reshape(-1), d_l.reshape(-1), keep, rows)
+        dx, table_up = encode_backward(shard.enc_cache, d_feats, cfg)
+        out["dx"][rows] = dx * shard.inside
+        if field_grads:
+            out["table_up"][rows] = table_up
+
+    _run([partial(stage1, shard) for shard in tape.shards])
 
     pose_grad = np.zeros(6)
-    pose_grad[:3] = dx.sum(axis=(0, 1), dtype=np.float64)
-    v = (tape.ts[:, :, None] * dx).sum(axis=1, dtype=np.float64)   # (n, 3)
-    torque = np.cross(tape.dirs_world.astype(np.float64), v).sum(axis=0)
-    pose_grad[3:] = so3_left_jacobian(tape.pose_phi).T @ torque
+
+    def pose_sums() -> None:
+        dx = out.pop("dx").reshape(n, m, 3)
+        pose_grad[:3] = dx.sum(axis=(0, 1), dtype=np.float64)
+        v = (tape.ts[:, :, None] * dx).sum(axis=1, dtype=np.float64)  # (n, 3)
+        torque = np.cross(tape.dirs_world.astype(np.float64), v).sum(axis=0)
+        pose_grad[3:] = so3_left_jacobian(tape.pose_phi).T @ torque
+
+    stage2 = [pose_sums]
+    if field_grads:
+        stage2 += _mlp_weight_grads(params, out)
+        stage2 += table_scatters([s.enc_cache for s in tape.shards],
+                                 out["table_up"], params.grads["planes"],
+                                 params.grads["hash"], cfg)
+    _run(stage2)
     return pose_grad
 
 

@@ -37,7 +37,7 @@ from .cloud import PointCloud
 from .errors import DegenerateNeighborhood, EmptyCloud, EmptyList, TooFewFrames
 from .geometry import Se3Param, so3_exp, so3_left_jacobian
 from .optim import Adam, exp_decay
-from .spatial import KdTree, normals_at, voxel_downsample
+from .spatial import NORMAL_NEIGHBORS, KdTree, normals_at, voxel_downsample
 
 
 @dataclass
@@ -325,9 +325,6 @@ def graph_loss(clouds: list[PointCloud], poses: list[Se3Param],
     return total / denom, grads / denom
 
 
-NORMAL_NEIGHBORS = 12
-
-
 def _surface_cloud(cloud: PointCloud, voxel_size: float) -> PointCloud:
     """The voxel centroids of a sensor-frame cloud with normals from the
     full-resolution points around them.
@@ -338,7 +335,7 @@ def _surface_cloud(cloud: PointCloud, voxel_size: float) -> PointCloud:
     """
     centroids = voxel_downsample(cloud, voxel_size)
     try:
-        return normals_at(cloud, centroids, NORMAL_NEIGHBORS)
+        return normals_at(cloud, centroids)
     except (EmptyCloud, DegenerateNeighborhood) as exc:
         warnings.warn(f"no normals for a {len(cloud)}-point frame ({exc}); "
                       "its edges use the point-to-point residual",

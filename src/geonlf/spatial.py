@@ -31,6 +31,9 @@ from .errors import DegenerateNeighborhood, EmptyCloud, NonPositiveVoxel
 # 1,024.
 SERIAL_NEIGHBOURS = 8192
 
+# Neighbours in the PCA of every normal estimate.
+NORMAL_NEIGHBORS = 12
+
 
 def usable_cpus() -> int:
     """The CPUs in this process's affinity mask (so a `taskset` cap is
@@ -44,8 +47,7 @@ def usable_cpus() -> int:
 def query_workers(neighbours: int) -> int:
     """Threads for one batched kd-tree query returning `neighbours`
     neighbours in all: one below SERIAL_NEIGHBOURS, else `usable_cpus()`,
-    the count that `trainer.render_full_image` also splits its chunks
-    over."""
+    the count of threads that `field.render_rays` renders on."""
     return 1 if neighbours < SERIAL_NEIGHBOURS else usable_cpus()
 
 
@@ -154,8 +156,9 @@ def _orient(normals: np.ndarray, points: np.ndarray) -> np.ndarray:
     return normals / np.linalg.norm(normals, axis=1, keepdims=True)
 
 
-def estimate_normals(cloud: PointCloud, k: int = 12) -> PointCloud:
-    """Per-point unit normals from the k-NN covariance.
+def estimate_normals(cloud: PointCloud) -> PointCloud:
+    """Per-point unit normals from the covariance of the NORMAL_NEIGHBORS
+    nearest points.
 
     The normal is the smallest-eigenvalue eigenvector; its sign is flipped
     so that it points toward the origin, the sensor of a sensor-frame
@@ -163,10 +166,9 @@ def estimate_normals(cloud: PointCloud, k: int = 12) -> PointCloud:
     covariance has rank < 2 get a +z placeholder and a warning; if every
     neighborhood is degenerate the call raises DegenerateNeighborhood.
     """
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
+    k = NORMAL_NEIGHBORS
     if len(cloud) <= k:
-        raise EmptyCloud(f"need more than k={k} points, got {len(cloud)}")
+        raise EmptyCloud(f"need more than {k} points, got {len(cloud)}")
 
     # Leaf size 16, unlike KdTree: when the k-th and (k+1)-th neighbors tie,
     # which one a k-NN query returns depends on the tree's layout.
@@ -182,9 +184,9 @@ def estimate_normals(cloud: PointCloud, k: int = 12) -> PointCloud:
                       _orient(normals, cloud.points))
 
 
-def normals_at(cloud: PointCloud, sites: PointCloud, k: int = 12) -> PointCloud:
-    """`sites` with unit normals from the PCA of their k nearest points in
-    `cloud`, a sensor-frame scan.
+def normals_at(cloud: PointCloud, sites: PointCloud) -> PointCloud:
+    """`sites` with unit normals from the PCA of their NORMAL_NEIGHBORS
+    nearest points in `cloud`, a sensor-frame scan.
 
     Used with the voxel centroids of the same scan as sites, this gives
     every centroid the normal of the full-resolution surface around it at
@@ -192,8 +194,9 @@ def normals_at(cloud: PointCloud, sites: PointCloud, k: int = 12) -> PointCloud:
     the origin. Sites whose neighbors are collinear have no normal and are
     left out; if none has one the call raises DegenerateNeighborhood.
     """
+    k = NORMAL_NEIGHBORS
     if len(cloud) <= k:
-        raise EmptyCloud(f"need more than k={k} points, got {len(cloud)}")
+        raise EmptyCloud(f"need more than {k} points, got {len(cloud)}")
     _, nn_idx = cKDTree(cloud.points, leafsize=16).query(
         sites.points, k=k, workers=query_workers(len(sites) * k))
     normals, degenerate = _pca_normals(cloud.points[nn_idx])

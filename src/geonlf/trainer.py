@@ -7,7 +7,6 @@ frames and 3D Chamfer/normal constraints on synthesized clouds.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -16,20 +15,21 @@ from .cloud import PointCloud, RangeImage
 from .encoding import EncodingConfig
 from .errors import (DegenerateNeighborhood, EmptyBatch, EmptyCloud,
                      NonFiniteLoss, ShapeMismatch, TooFewFrames)
-from .field import FieldParams, backward, pose_rays, render_rays, sensor_directions
+from .field import (PARAM_NAMES, FieldParams, backward, pose_rays, render_rays,
+                    sensor_directions)
 from .formats import loss_row
 from .geometry import (Se3Param, Trajectory, se3_decoupled, so3_exp,
                        so3_left_jacobian)
 from .optim import Adam, exp_decay
 from .rcd import GeoSession, RcdConfig, build_graph, temperature_at
 from .scene import ScannerConfig, unproject
-from .spatial import KdTree, estimate_normals, usable_cpus
+from .spatial import NORMAL_NEIGHBORS, KdTree, estimate_normals
 
 
-# Samples in flight in a full-image render, summed over its threads: one
-# default training batch (1024 rays x 64 samples), so a render's tapes are
-# no larger than a training step's (~110 MB in float32) whatever the image
-# size and the CPU count.
+# Samples per chunk of a full-image render: one default training batch
+# (1024 rays x 64 samples, four shards), so a render's tape is no larger
+# than a training step's (55 MB in float32, by tracemalloc on the default
+# field) whatever the image size and the CPU count.
 RENDER_CHUNK_SAMPLES = 65_536
 
 
@@ -190,8 +190,8 @@ def normal_loss(synth: PointCloud, gt: PointCloud,
     """Sign-invariant L1 normal difference over the Chamfer correspondences
     `pairs` that `cd_loss_3d` returns.
 
-    Normals are estimated per cloud from 12 neighbors; since their
-    orientation is arbitrary, each pair contributes
+    Normals are estimated per cloud from NORMAL_NEIGHBORS neighbors; since
+    their orientation is arbitrary, each pair contributes
     min(|n1 - n2|_1, |n1 + n2|_1). Degenerate neighborhoods downgrade to a
     warning and a zero value.
     """
@@ -222,11 +222,22 @@ def c2f_alpha(progress: float, cfg: TrainConfig, total_levels: int) -> float:
     return float(frac * total_levels)
 
 
-def _check_finite(value: float, iteration: int, frame: int, terms: dict):
-    if not np.isfinite(value):
-        raise NonFiniteLoss(
-            f"non-finite loss {value} at iteration {iteration}, frame {frame}: {terms}",
-            iteration=iteration, frame=frame, terms=terms)
+def _check_finite(value: float, iteration: int, frame: int, terms: dict,
+                  params: FieldParams, poses: list[Se3Param]) -> None:
+    """Raise NonFiniteLoss on a NaN or inf `value`, naming the first
+    parameter block (in PARAM_NAMES order), else the first pose, that holds
+    one. The scan runs only on failure."""
+    if np.isfinite(value):
+        return
+    culprit = next((f"parameter block {name!r}" for name in PARAM_NAMES
+                    if not np.isfinite(params.params[name]).all()), None)
+    culprit = culprit or next(
+        (f"pose {i}" for i, p in enumerate(poses)
+         if not (np.isfinite(p.rho).all() and np.isfinite(p.phi).all())), None)
+    raise NonFiniteLoss(
+        f"non-finite loss {value} at iteration {iteration}, frame {frame}: "
+        f"{terms}; non-finite: {culprit or 'no parameter block or pose'}",
+        iteration=iteration, frame=frame, terms=terms, culprit=culprit)
 
 
 def _flat_target(img: RangeImage):
@@ -342,7 +353,7 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
         total = (loss_r + cfg.lambda_cd * cd_val
                  + cfg.lambda_normal * normal_val)
         _check_finite(total, it, frame, {**comps, "cd": cd_val,
-                                         "normal": normal_val})
+                                         "normal": normal_val}, params, poses)
 
         if cfg.use_sr and frame in outliers:
             params.scale_grads(reweight_factor(progress, cfg.w0_start))
@@ -368,7 +379,8 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
                 for _ in range(m2):
                     geo_loss = geo.step(poses, t_temp, lr_rot, lr_trans,
                                         adam_geo)
-                    _check_finite(geo_loss, it, -1, {"geo": geo_loss})
+                    _check_finite(geo_loss, it, -1, {"geo": geo_loss},
+                                  params, poses)
                     logs.append(loss_row(it, "geo", geo_loss, alpha=alpha,
                                          t_temp=t_temp))
 
@@ -402,7 +414,7 @@ def _cd_step(params, pose, d_sensor, valid, gt_cloud, scanner, cfg, alpha, rng):
     synth_cloud = PointCloud(synth_pts)
     cd_val, grad_synth, pairs = cd_loss_3d(synth_cloud, gt_world)
     normal_val = normal_loss(synth_cloud, gt_world, pairs) \
-        if min(len(synth_cloud), len(gt_world)) > 12 else 0.0
+        if min(len(synth_cloud), len(gt_world)) > NORMAL_NEIGHBORS else 0.0
 
     grad_synth = cfg.lambda_cd * grad_synth
     # Through rendered depth: d p_hat / d depth = ray direction.
@@ -421,13 +433,11 @@ def render_full_image(params: FieldParams, pose: Se3Param,
     encoding level active; pixels with drop probability above 0.5 are
     marked invalid.
 
-    Rays go through `render_batch` in chunks, one thread per CPU in
-    `usable_cpus()`, each chunk writing only its own pixels. Each of the
-    W threads renders RENDER_CHUNK_SAMPLES // W samples at a time, so peak
-    memory grows neither with the image size nor with the CPU count. Rays
-    are rendered independently, so the image does not depend on W. An
-    image that fits in one chunk, or a single CPU, renders on the calling
-    thread.
+    Rays go through `render_batch` in chunks of RENDER_CHUNK_SAMPLES
+    samples, one after another, so peak memory does not grow with the
+    image size. Each chunk renders on every CPU in shards
+    (`field.render_rays`), whose size does not depend on the CPU count,
+    so neither does the image.
     """
     h, w = scanner.beams, scanner.azimuth_steps
     n = h * w
@@ -436,28 +446,17 @@ def render_full_image(params: FieldParams, pose: Se3Param,
     depth = np.empty(n)
     intens = np.empty(n)
     drop = np.empty(n)
-    workers = 1 if n * cfg.samples_per_ray <= RENDER_CHUNK_SAMPLES \
-        else usable_cpus()
-    chunk = max(RENDER_CHUNK_SAMPLES // workers // cfg.samples_per_ray, 1)
-
-    def render_stride(first: int) -> None:
-        """Render chunks first, first + workers, ... of the image."""
-        for lo in range(first * chunk, n, workers * chunk):
-            sel = slice(lo, min(lo + chunk, n))
-            # The unused tape stays bound to `_` until this thread's next
-            # chunk has been rendered, so the heap keeps its pages. Freed
-            # first, they are trimmed and faulted in again: on a 32x360
-            # default render on two threads that is ~70k-120k instead of
-            # ~12k-18k minor faults, 0.13-0.25 s instead of 0.03-0.04 s of
-            # system time, and 0.52-0.57 s instead of 0.44 s of wall time.
-            _, _, depth[sel], intens[sel], drop[sel], _ = render_batch(
-                params, pose, d_sensor, sel, scanner, cfg)
-
-    if workers == 1:
-        render_stride(0)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(render_stride, range(workers)))
+    chunk = max(RENDER_CHUNK_SAMPLES // cfg.samples_per_ray, 1)
+    for lo in range(0, n, chunk):
+        sel = slice(lo, min(lo + chunk, n))
+        # The unused tape stays bound to `_` until the next chunk has been
+        # rendered, so the heap keeps its pages. Freed first, they are
+        # trimmed and faulted in again: on a 32x360 default render on two
+        # CPUs that is 72k-100k instead of 15k-19k minor faults, 0.29-0.40 s
+        # instead of 0.06-0.09 s of system time, and 0.99-1.06 s instead of
+        # 0.85-0.88 s of wall time (3 processes each, median of 5 renders).
+        _, _, depth[sel], intens[sel], drop[sel], _ = render_batch(
+            params, pose, d_sensor, sel, scanner, cfg)
     valid = drop <= 0.5
     return RangeImage(np.where(valid, depth, -1.0).reshape(h, w),
                       np.where(valid, intens, 0.0).reshape(h, w),
@@ -485,7 +484,7 @@ def register_novel_view(params: FieldParams, target: RangeImage,
         loss, comps, pose_grad = render_step(params, pose, d_sensor, flat,
                                              scanner, cfg, None, rng,
                                              field_grads=False)
-        _check_finite(loss, step, -1, comps)
+        _check_finite(loss, step, -1, comps, params, [pose])
         adam.step("rho", pose.rho, pose_grad[:3], lr=lr_trans)
         adam.step("phi", pose.phi, pose_grad[3:], lr=lr_rot)
     return pose

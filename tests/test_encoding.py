@@ -7,7 +7,7 @@ from geonlf.encoding import (EncodingConfig, c2f_weight, check_domain,
                              encode_backward, encode_forward,
                              hash_encode_backward, hash_encode_forward,
                              mask_weights, planar_encode_backward,
-                             planar_encode_forward)
+                             planar_encode_forward, table_scatters)
 from geonlf.errors import OutOfDomain
 from oracles import (hash_corner_indices, numeric_gradient,
                      reference_hash_backward, reference_hash_encode)
@@ -157,32 +157,66 @@ class TestFusedHashMatchesReference:
         ref, ref_levels = reference_hash_encode(x, tables,
                                                 cfg.level_resolutions())
         assert_bits_equal(out, ref)
-        for level, (idx, weights, _, _) in enumerate(ref_levels):
+        for level, (idx, _, _, _) in enumerate(ref_levels):
             np.testing.assert_array_equal(cache["idx"][level], idx + level * t)
-            assert_bits_equal(cache["weights"][level], weights)
 
         upstream = np.random.default_rng(seed).normal(
             size=out.shape).astype(dtype)
-        g_tables = np.zeros(tables.shape)
-        g_ref = np.zeros(tables.shape)
-        dx = hash_encode_backward(cache, upstream, g_tables, cfg)
-        assert_bits_equal(dx, reference_hash_backward(ref_levels, upstream,
-                                                      g_ref))
-        assert_bits_equal(g_tables, g_ref)
+        dx = hash_encode_backward(cache, upstream, cfg)
+        assert_bits_equal(dx, reference_hash_backward(
+            ref_levels, upstream, np.zeros(tables.shape)))
 
-        # Through the hybrid encoder: planar d/dx plus the reference's.
+        # Through the hybrid encoder: planar d/dx plus the reference's, and
+        # table gradients (corner weights rebuilt) equal to the reference's.
         c = cfg.planar_channels
         up_all = np.random.default_rng(seed + 1).normal(
             size=(x.shape[0], cfg.feature_dim)).astype(dtype)
         _, enc_cache = encode_forward(x, planes, tables, cfg, alpha=None)
-        dx_all = encode_backward(enc_cache, up_all, np.zeros(planes.shape),
-                                 np.zeros(tables.shape), cfg)
+        dx_all, _, g_tables = _backward(enc_cache, up_all, cfg)
         _, p_cache = planar_encode_forward(x, planes, cfg)
-        dx_p = planar_encode_backward(p_cache, up_all[:, :c],
-                                      np.zeros(planes.shape), cfg)
-        dx_h = reference_hash_backward(ref_levels, up_all[:, c:].copy(),
-                                       np.zeros(tables.shape))
+        dx_p, _ = planar_encode_backward(p_cache, up_all[:, :c], cfg)
+        g_ref = np.zeros(tables.shape)
+        dx_h = reference_hash_backward(ref_levels, up_all[:, c:].copy(), g_ref)
         assert_bits_equal(dx_all, dx_p + dx_h)
+        assert_bits_equal(g_tables, g_ref)
+
+
+def _backward(caches, upstream, cfg):
+    """d/dx and the table gradients of one batch encoded in pieces with
+    caches `caches` (or one cache), upstream stacked in the same order."""
+    caches = caches if isinstance(caches, list) else [caches]
+    n = [k["planar"]["n"] for k in caches]
+    pieces = [encode_backward(k, up, cfg) for k, up in
+              zip(caches, np.split(upstream, np.cumsum(n)[:-1]))]
+    g_planes = np.zeros(caches[0]["planar"]["planes"].shape)
+    g_tables = np.zeros(caches[0]["hash"]["tables"].shape)
+    for task in table_scatters(caches, np.concatenate([t for _, t in pieces]),
+                               g_planes, g_tables, cfg):
+        task()
+    return np.concatenate([dx for dx, _ in pieces]), g_planes, g_tables
+
+
+class TestTableScatters:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pieces_equal_one_batch(self, dtype):
+        """A batch encoded in pieces gets the same d/dx and table gradients,
+        bit for bit, as the batch in one piece."""
+        cfg = EncodingConfig()
+        tables, planes = (a.astype(dtype) for a in make_tables(cfg, 12))
+        rng = np.random.default_rng(13)
+        x = rng.uniform(size=(300, 3)).astype(dtype)
+        upstream = rng.normal(size=(300, cfg.feature_dim)).astype(dtype)
+        alpha = 0.9 * cfg.total_mask_levels      # the planar block at half
+
+        def cache(points):
+            return encode_forward(points, planes, tables, cfg, alpha)[1]
+
+        whole = _backward(cache(x), upstream, cfg)
+        pieces = _backward([cache(x[:17]), cache(x[17:200]), cache(x[200:])],
+                           upstream, cfg)
+        assert np.abs(whole[1]).max() > 0 and np.abs(whole[2]).max() > 0
+        for a, b in zip(whole, pieces):
+            assert_bits_equal(a, b)
 
 
 class TestPlanarEncode:
@@ -280,9 +314,7 @@ class TestEncodeBackward:
             return float((out * upstream).sum())
 
         _, cache = encode_forward(x, planes, tables, cfg, alpha=None)
-        g_tables = np.zeros_like(tables)
-        g_planes = np.zeros_like(planes)
-        encode_backward(cache, upstream, g_planes, g_tables, cfg)
+        _, g_planes, g_tables = _backward(cache, upstream, cfg)
 
         touched = np.nonzero(g_tables)
         for lvl, row, chan in list(zip(*touched))[:20]:
@@ -314,9 +346,7 @@ class TestEncodeBackward:
         x = (np.floor(rng.uniform(0, 8, size=(5, 3))) + rng.uniform(0.3, 0.7, size=(5, 3))) / 8.0
         upstream = rng.normal(size=(5, cfg.feature_dim))
         _, cache = encode_forward(x, planes, tables, cfg, alpha=0.7 * cfg.total_mask_levels)
-        g_tables = np.zeros_like(tables)
-        g_planes = np.zeros_like(planes)
-        dx = encode_backward(cache, upstream, g_planes, g_tables, cfg)
+        dx, _ = encode_backward(cache, upstream, cfg)
 
         def loss(xv):
             out, _ = encode_forward(xv.reshape(5, 3), planes, tables, cfg,

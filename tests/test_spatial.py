@@ -183,14 +183,14 @@ class TestEstimateNormals:
         pts = np.column_stack([rng.uniform(-1, 1, 200),
                                rng.uniform(-1, 1, 200),
                                np.full(200, -5.0)])
-        out = estimate_normals(PointCloud(pts), k=8)
+        out = estimate_normals(PointCloud(pts))
         # sign fixed toward the sensor at the origin, above the plane
         np.testing.assert_allclose(np.abs(out.normals[:, 2]), 1.0, atol=1e-9)
         assert (out.normals[:, 2] > 0).all()
 
     def test_sphere_normals_point_inward(self):
         pts = fibonacci_sphere(2000)
-        out = estimate_normals(PointCloud(pts), k=12)
+        out = estimate_normals(PointCloud(pts))
         cos = np.einsum("ni,ni->n", out.normals, -pts)
         angles = np.degrees(np.arccos(np.clip(cos, -1, 1)))
         assert angles.max() < 5.0
@@ -198,14 +198,14 @@ class TestEstimateNormals:
     def test_unit_length(self):
         rng = np.random.default_rng(8)
         pts = rng.normal(size=(300, 3))
-        out = estimate_normals(PointCloud(pts), k=10)
+        out = estimate_normals(PointCloud(pts))
         np.testing.assert_allclose(np.linalg.norm(out.normals, axis=1), 1.0,
                                    atol=1e-10)
 
     def test_collinear_raises(self):
         pts = np.column_stack([np.linspace(0, 1, 50), np.zeros(50), np.zeros(50)])
         with pytest.raises(DegenerateNeighborhood):
-            estimate_normals(PointCloud(pts), k=5)
+            estimate_normals(PointCloud(pts))
 
     def test_partial_degeneracy_warns(self):
         rng = np.random.default_rng(9)
@@ -215,12 +215,12 @@ class TestEstimateNormals:
                                 np.zeros(30), np.zeros(30)])
         pts = np.vstack([plane, line])
         with pytest.warns(RuntimeWarning):
-            out = estimate_normals(PointCloud(pts), k=5)
+            out = estimate_normals(PointCloud(pts))
         assert len(out) == 130
 
     def test_too_small_cloud(self):
         with pytest.raises(EmptyCloud):
-            estimate_normals(PointCloud(np.zeros((5, 3))), k=8)
+            estimate_normals(PointCloud(np.zeros((12, 3))))
 
 
 class TestNormalsAt:
@@ -230,7 +230,7 @@ class TestNormalsAt:
                                rng.uniform(-1, 1, 400), np.full(400, 0.5)])
         cloud = PointCloud(pts, intensity=rng.uniform(size=400))
         sites = voxel_downsample(cloud, 0.5)
-        out = normals_at(cloud, sites, k=12)
+        out = normals_at(cloud, sites)
         np.testing.assert_array_equal(out.points, sites.points)
         np.testing.assert_array_equal(out.intensity, sites.intensity)
         # pointed toward the sensor at the origin, below the plane
@@ -245,14 +245,14 @@ class TestNormalsAt:
         line = np.column_stack([np.linspace(-60, -50, 30),
                                 np.zeros(30), np.zeros(30)])
         sites = PointCloud([[5.5, 5.5, 0.0], [-55.0, 0.0, 0.0]])
-        out = normals_at(PointCloud(np.vstack([plane, line])), sites, k=5)
+        out = normals_at(PointCloud(np.vstack([plane, line])), sites)
         np.testing.assert_array_equal(out.points, [[5.5, 5.5, 0.0]])
 
     def test_all_collinear_raises(self):
         pts = np.column_stack([np.linspace(0, 1, 50), np.zeros(50), np.zeros(50)])
         with pytest.raises(DegenerateNeighborhood):
-            normals_at(PointCloud(pts), PointCloud(pts[::10]), k=5)
+            normals_at(PointCloud(pts), PointCloud(pts[::10]))
 
     def test_too_small_cloud(self):
         with pytest.raises(EmptyCloud):
-            normals_at(PointCloud(np.zeros((5, 3))), PointCloud(np.zeros((1, 3))), k=8)
+            normals_at(PointCloud(np.zeros((12, 3))), PointCloud(np.zeros((1, 3))))

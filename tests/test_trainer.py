@@ -1,17 +1,17 @@
+import os
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from geonlf import trainer
+from geonlf import field, trainer
 from geonlf.cloud import PointCloud
 from geonlf.encoding import EncodingConfig
-from geonlf.errors import (EmptyBatch, EmptyCloud, ShapeMismatch,
-                           TooFewFrames)
-from geonlf.field import (FieldParams, backward, pose_rays, render_rays,
-                          sensor_directions)
+from geonlf.errors import (EmptyBatch, EmptyCloud, NonFiniteLoss,
+                           ShapeMismatch, TooFewFrames)
+from geonlf.field import (PARAM_NAMES, SHARD_SAMPLES, FieldParams, backward,
+                          pose_rays, render_rays, sensor_directions)
 from geonlf.geometry import Se3Param, Trajectory, so3_exp
 from geonlf.metrics import pose_metrics
 from geonlf.rcd import RcdConfig
@@ -184,15 +184,94 @@ class TestCdLoss:
             cd_loss_3d(PointCloud(np.zeros((0, 3))), PointCloud([[0.0] * 3]))
 
 
-def _textured_params(dtype=np.float32, seed=3):
+def _textured_params(dtype=np.float32, seed=3, hidden_width=16):
     """A small field with tables far from their near-zero initialisation,
     so that depth, intensity and ray drop vary from ray to ray."""
-    params = FieldParams(TINY_ENC, hidden_width=16, dtype=dtype, seed=seed)
+    params = FieldParams(TINY_ENC, hidden_width=hidden_width, dtype=dtype,
+                         seed=seed)
     rng = np.random.default_rng(seed + 1)
     for name in ("hash", "planes"):
         params.params[name] = rng.normal(
             scale=0.5, size=params.params[name].shape).astype(dtype)
     return params
+
+
+def _set_cpus(monkeypatch, cpus):
+    """Make `spatial.usable_cpus` report `cpus` CPUs, as a `taskset` would."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestShardInvariance:
+    """Training renders on every CPU in shards of a fixed size; the loss,
+    the pose gradient and every field gradient must not depend on the CPU
+    count, and must equal those of the batch rendered in one piece, bit
+    for bit."""
+
+    CPUS = (1, 2, 3, 8)
+
+    @pytest.mark.parametrize("rays", [100, 700])
+    def test_steps_equal_for_any_cpu_count(self, monkeypatch, rays):
+        # 100 rays are less than one shard; 700 are two shards and a part.
+        assert rays * 64 < SHARD_SAMPLES or (rays * 64) % SHARD_SAMPLES
+        images, gt, _ = make_dataset(frames=3)
+        cfg = TrainConfig(rays_per_batch=rays, cd_subsample=rays + 37)
+        d_sensor = sensor_directions(
+            SMALL_SCANNER.beams, SMALL_SCANNER.azimuth_steps,
+            SMALL_SCANNER.fov_up_deg, SMALL_SCANNER.fov_down_deg
+        ).reshape(-1, 3)
+        target = _flat_target(images[1])
+        assert target[3].sum() > cfg.cd_subsample
+        cloud = unproject(images[1], SMALL_SCANNER)
+        pose = Se3Param.from_matrix(gt.poses[1])
+        pose.rho += [0.01, -0.01, 0.005]
+
+        def steps():
+            params = _textured_params(hidden_width=cfg.hidden_width)
+            rng = np.random.default_rng(5)
+            loss, comps, grad = render_step(params, pose, d_sensor, target,
+                                            SMALL_SCANNER, cfg, 3.5, rng, True)
+            cd = _cd_step(params, pose, d_sensor, target[3], cloud,
+                          SMALL_SCANNER, cfg, 3.5, rng)
+            frozen = render_step(params, pose, d_sensor, target,
+                                 SMALL_SCANNER, cfg, None, rng, False)
+            return (loss, comps, grad, cd, frozen,
+                    {k: g.copy() for k, g in params.grads.items()})
+
+        # The reference renders the batch in one piece, so that sums taken
+        # shard by shard and then added would show.
+        _set_cpus(monkeypatch, 1)
+        with monkeypatch.context() as m:
+            m.setattr(field, "SHARD_SAMPLES", 10 ** 9)
+            want = steps()
+        assert all(np.abs(g).max() > 0 for g in want[-1].values())
+        for cpus in self.CPUS:
+            _set_cpus(monkeypatch, cpus)
+            got = steps()
+            assert got[:2] == want[:2]
+            np.testing.assert_array_equal(got[2], want[2])
+            assert got[3][:2] == want[3][:2]
+            np.testing.assert_array_equal(got[3][2], want[3][2])
+            assert got[4][:2] == want[4][:2]
+            np.testing.assert_array_equal(got[4][2], want[4][2])
+            for name in PARAM_NAMES:
+                np.testing.assert_array_equal(got[-1][name], want[-1][name],
+                                              err_msg=f"{name}, {cpus} CPUs")
+
+    def test_train_equal_for_one_and_two_cpus(self, monkeypatch):
+        images, _, init = make_dataset(frames=4)
+        # 1200 rays of 32 samples are two shards and a part.
+        cfg = small_cfg(iterations=8, rays_per_batch=1200, cd_every=3,
+                        cd_subsample=700)
+
+        def run(cpus):
+            _set_cpus(monkeypatch, cpus)
+            return train(images, init, SMALL_SCANNER, cfg, enc_cfg=TINY_ENC)
+
+        (p1, est1, logs1), (p2, est2, logs2) = run(1), run(2)
+        np.testing.assert_array_equal(est1.poses, est2.poses)
+        assert logs1 == logs2
+        for name in PARAM_NAMES:
+            np.testing.assert_array_equal(p1.params[name], p2.params[name])
 
 
 class TestCdStepGradient:
@@ -267,11 +346,15 @@ class TestRenderFullImage:
             out.intensity, np.where(valid, intens, 0.0).reshape(shape))
 
     def test_same_image_for_any_worker_count(self, monkeypatch):
-        params = _textured_params()
-        cfg = small_cfg()
+        # The default hidden width and samples per ray, on an image of two
+        # chunks: a chunk or shard of fewer than ~12k samples would put the
+        # heads GEMM on OpenBLAS's small-matrix kernel, which rounds
+        # differently.
+        cfg = TrainConfig()
+        # Seed 5 drops some pixels and keeps others.
+        params = _textured_params(seed=5, hidden_width=cfg.hidden_width)
         n_pix = SMALL_SCANNER.beams * SMALL_SCANNER.azimuth_steps
-        budget = cfg.samples_per_ray * 500
-        monkeypatch.setattr(trainer, "RENDER_CHUNK_SAMPLES", budget)
+        assert n_pix * cfg.samples_per_ray > trainer.RENDER_CHUNK_SAMPLES
         d_sensor = sensor_directions(
             SMALL_SCANNER.beams, SMALL_SCANNER.azimuth_steps,
             SMALL_SCANNER.fov_up_deg, SMALL_SCANNER.fov_down_deg
@@ -284,35 +367,18 @@ class TestRenderFullImage:
         expected = (np.where(valid, depth, -1.0).reshape(shape),
                     np.where(valid, intens, 0.0).reshape(shape),
                     valid.reshape(shape))
-
-        def spy(params, pose, d_sensor, pix, *args):
-            chunks.append((pix.start, pix.stop, threading.get_ident()))
-            return render_batch(params, pose, d_sensor, pix, *args)
-
-        monkeypatch.setattr(trainer, "render_batch", spy)
-        # Frequent thread switches, so that two chunks writing one pixel
+        # Frequent thread switches, so that two threads writing one pixel
         # would show.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(trainer, "usable_cpus", lambda: workers)
-                chunks = []
+            for workers in (1, 2, 3, 8):
+                _set_cpus(monkeypatch, workers)
                 out = render_full_image(params, self.POSE, SMALL_SCANNER,
                                         cfg)
                 for got, want in zip((out.depth, out.intensity, out.valid),
                                      expected):
                     np.testing.assert_array_equal(got, want)
-                # The chunks tile the image with neither gap nor overlap,
-                # each within one worker's share of the sample budget.
-                bounds = sorted((lo, hi) for lo, hi, _ in chunks)
-                assert [lo for lo, _ in bounds] == \
-                    [0] + [hi for _, hi in bounds[:-1]]
-                assert bounds[-1][1] == n_pix
-                widest = max(hi - lo for lo, hi in bounds)
-                assert widest * cfg.samples_per_ray <= budget // workers
-                caller = threading.get_ident()
-                assert any(t == caller for *_, t in chunks) == (workers == 1)
         finally:
             sys.setswitchinterval(interval)
 
@@ -539,6 +605,32 @@ class TestTrainLoop:
         cfg = small_cfg(iterations=160)
         _, est, _ = train(images, gt, SMALL_SCANNER, cfg, enc_cfg=TINY_ENC)
         assert _ate(est, gt) < 5e-3
+
+
+class TestNonFiniteLoss:
+    def test_names_the_first_non_finite_block(self):
+        images, gt, _ = make_dataset(frames=3)
+        params = _textured_params()
+        params.params["w2"][0, 0] = np.nan
+        params.params["b_drop"][0] = np.inf    # later in PARAM_NAMES order
+        pose = Se3Param.from_matrix(gt.poses[1])
+        with pytest.raises(NonFiniteLoss) as err:
+            register_novel_view(params, images[1], SMALL_SCANNER, pose,
+                                steps=1, cfg=small_cfg())
+        assert err.value.culprit == "parameter block 'w2'"
+        assert "non-finite: parameter block 'w2'" in str(err.value)
+
+    def test_names_a_pose_else_nothing(self):
+        params = _textured_params()
+        poses = [Se3Param([0.5, 0.5, 0.5], [0.0, 0.0, 0.1]) for _ in range(3)]
+        with pytest.raises(NonFiniteLoss) as err:
+            trainer._check_finite(np.inf, 4, 2, {}, params, poses)
+        assert err.value.culprit is None
+        poses[2].phi[1] = np.nan
+        with pytest.raises(NonFiniteLoss) as err:
+            trainer._check_finite(np.nan, 4, 2, {}, params, poses)
+        assert err.value.culprit == "pose 2"
+        trainer._check_finite(1.0, 4, 2, {}, params, poses)   # finite: passes
 
 
 class TestRegisterNovelView:
