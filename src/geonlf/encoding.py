@@ -18,6 +18,16 @@ reverse pass needs, it rebuilds bit for bit: the gathered corner values
 A forward-only caller never computes the weight gradients, and the cache
 stays small. The planar encoder caches its rows, weights and offsets the
 same way.
+
+The coarse-to-fine mask gives each block a weight in [0, 1]. A block of
+weight exactly 0 is never gathered, blended, differentiated or scattered:
+its feature columns and its table upstream are zeros, and it adds nothing
+to d/dx or to the table gradients. The masked blocks are always a suffix
+of `mask_order()`: the weight of a slot does not increase with the slot,
+and the order sorts the blocks by resolution, so the hash levels keep their
+index order in it. The live hash levels are therefore levels[:live], and
+the planar block is either live or skipped. The encoders take their input
+as it comes, inside the unit cube; `field.render_rays` clips it.
 """
 
 from __future__ import annotations
@@ -27,9 +37,6 @@ from functools import partial
 
 import numpy as np
 
-from .errors import OutOfDomain
-
-DOMAIN_EPS = 1e-6
 HASH_PRIMES = (np.uint32(1), np.uint32(2654435761), np.uint32(805459861))
 
 
@@ -75,20 +82,6 @@ class EncodingConfig:
         return self.planar_channels + self.levels * self.features_per_level
 
 
-def check_domain(x: np.ndarray) -> np.ndarray:
-    """Clamp coordinates to [0, 1]; positions beyond the tolerance raise.
-
-    Preserves floating dtype so a float32 pipeline stays float32.
-    """
-    x = np.atleast_2d(np.asarray(x))
-    if x.dtype not in (np.float32, np.float64):
-        x = x.astype(np.float64)
-    if x.size and (x.min() < -DOMAIN_EPS or x.max() > 1.0 + DOMAIN_EPS):
-        raise OutOfDomain(
-            f"coordinates outside the unit cube: range [{x.min()}, {x.max()}]")
-    return np.clip(x, 0.0, 1.0)
-
-
 def c2f_weight(alpha: float, level: int) -> float:
     """Cosine ramp activating level `level` while alpha sweeps [0, L_total]."""
     a = alpha - level
@@ -120,7 +113,8 @@ def _corner_weights(frac: np.ndarray, out: np.ndarray) -> np.ndarray:
 def hash_encode_forward(x: np.ndarray, tables: np.ndarray, cfg: EncodingConfig):
     """Trilinear blend of 8 hashed corner features per level, concatenated.
 
-    x: (n, 3) in [0, 1]; tables: (L, T, F) with T a power of two.
+    x: (n, 3) in [0, 1]; tables: (L, T, F) with T a power of two, the
+    first L <= cfg.levels levels (a view `tables[:L]` encodes those alone).
     Level l scales x by its cell count r_l (the corner lattice has r_l + 1
     sites per axis). Corner (i, j, k) of a cell reads row l*T + h of the
     flattened (L*T, F) table, h = (i*p1 xor j*p2 xor k*p3) & (T - 1) in
@@ -133,10 +127,9 @@ def hash_encode_forward(x: np.ndarray, tables: np.ndarray, cfg: EncodingConfig):
     reverse pass rebuilds the corner weights, their gradients and the
     gathered values.
     """
-    x = check_domain(x)
     n = x.shape[0]
-    levels, f, t = cfg.levels, cfg.features_per_level, cfg.hash_table_size
-    res = np.asarray(cfg.level_resolutions(), dtype=x.dtype)
+    levels, t, f = tables.shape
+    res = np.asarray(cfg.level_resolutions()[:levels], dtype=x.dtype)
     pos = x.T[:, None, :] * res[:, None]                      # (3, L, n)
     floor = np.floor(pos)
     frac = pos - floor                                        # in [0, 1)
@@ -214,7 +207,6 @@ def planar_encode_forward(x: np.ndarray, planes: np.ndarray, cfg: EncodingConfig
     each plane's corner rows, weights and offsets, the samples and a
     reference to `planes`.
     """
-    x = check_domain(x)
     m = cfg.planar_resolution
     samples = []
     corners = []
@@ -270,22 +262,31 @@ def encode_forward(x: np.ndarray, planes: np.ndarray, tables: np.ndarray,
     """Hybrid encoding: planar block then hash levels, c2f-masked.
 
     alpha = None (or >= total levels) leaves every block untouched, so the
-    masked output is bit-identical to the unmasked one.
+    masked output is bit-identical to the unmasked one. A block of weight 0
+    is not encoded: its columns are zeros, its cache entry is None (planar)
+    or absent (the hash cache covers the live levels[:live] only).
     Returns (features (n, planar_channels + levels*F), cache).
     """
-    planar_feat, planar_cache = planar_encode_forward(x, planes, cfg)
-    hash_feat, hash_cache = hash_encode_forward(x, tables, cfg)
     if alpha is None:
         w_hash, w_planar = np.ones(cfg.levels), 1.0
     else:
         w_hash, w_planar = mask_weights(alpha, cfg)
-    if w_planar != 1.0:
-        planar_feat *= w_planar
-    f = cfg.features_per_level
-    for level in range(cfg.levels):
+    live = int(np.count_nonzero(w_hash))        # a prefix: see module doc
+    n, f = x.shape[0], cfg.features_per_level
+    dtype = np.result_type(x, planes, tables)
+    planar_cache = None
+    if w_planar == 0.0:
+        planar_feat = np.zeros((n, cfg.planar_channels), dtype)
+    else:
+        planar_feat, planar_cache = planar_encode_forward(x, planes, cfg)
+        if w_planar != 1.0:
+            planar_feat *= w_planar
+    hash_feat, hash_cache = hash_encode_forward(x, tables[:live], cfg)
+    for level in range(live):
         if w_hash[level] != 1.0:
             hash_feat[:, level * f:(level + 1) * f] *= w_hash[level]
-    features = np.concatenate([planar_feat, hash_feat], axis=1)
+    masked = np.zeros((n, (cfg.levels - live) * f), dtype)
+    features = np.concatenate([planar_feat, hash_feat, masked], axis=1)
     cache = {"planar": planar_cache, "hash": hash_cache,
              "w_hash": w_hash, "w_planar": w_planar}
     return features, cache
@@ -297,17 +298,25 @@ def encode_backward(cache, upstream: np.ndarray, cfg: EncodingConfig):
     Returns (d/dx (n, 3), table upstream (n, 3C + L*F)): the gradient of
     each plane's bilinear sample, then of each hash level's blend, c2f mask
     applied. `table_scatters` turns the table upstream into table
-    gradients; a frozen field drops it.
+    gradients; a frozen field drops it. A block the forward skipped adds
+    nothing to d/dx, and its table upstream is zeros.
     """
-    c = cfg.planar_channels
-    up_planar = upstream[:, :c] * float(cache["w_planar"])
-    up_hash = upstream[:, c:].copy()
-    f = cfg.features_per_level
-    for level in range(cfg.levels):
+    c, f = cfg.planar_channels, cfg.features_per_level
+    live = len(cache["hash"]["res"])
+    up_hash = upstream[:, c:c + live * f].copy()
+    for level in range(live):
         up_hash[:, level * f:(level + 1) * f] *= cache["w_hash"][level]
-    dx_p, d_samples = planar_encode_backward(cache["planar"], up_planar, cfg)
-    dx_h = hash_encode_backward(cache["hash"], up_hash, cfg)
-    return dx_p + dx_h, np.concatenate([d_samples, up_hash], axis=1)
+    dx = hash_encode_backward(cache["hash"], up_hash, cfg)
+    n = upstream.shape[0]
+    if cache["planar"] is None:
+        d_samples = np.zeros((n, 3 * c), up_hash.dtype)
+    else:
+        up_planar = upstream[:, :c] * float(cache["w_planar"])
+        dx_p, d_samples = planar_encode_backward(cache["planar"], up_planar,
+                                                 cfg)
+        dx = dx_p + dx
+    masked = np.zeros((n, (cfg.levels - live) * f), up_hash.dtype)
+    return dx, np.concatenate([d_samples, up_hash, masked], axis=1)
 
 
 def _cat(arrays: list[np.ndarray], axis: int = 0) -> np.ndarray:
@@ -352,17 +361,21 @@ def table_scatters(caches: list, table_up: np.ndarray,
     callable per plane and per hash level; each adds into its own slice of
     `grad_planes` (3, M, M, C) or `grad_tables` (L, T, F), so they may run
     at once. Each bincount runs over the whole batch in point order, so the
-    sums do not depend on how the batch was cut.
+    sums do not depend on how the batch was cut. A block of c2f weight 0
+    gets no task: its gradient is zero, and its slice is left as it is.
     """
     c, f = cfg.planar_channels, cfg.features_per_level
     planar = [k["planar"] for k in caches]
     hashed = [k["hash"] for k in caches]
-    tasks = [partial(_planar_scatter, planar, table_up[:, p * c:(p + 1) * c],
-                     grad_planes[p], p, cfg.planar_resolution)
-             for p in range(3)]
+    tasks = []
+    if planar[0] is not None:
+        tasks += [partial(_planar_scatter, planar,
+                          table_up[:, p * c:(p + 1) * c], grad_planes[p], p,
+                          cfg.planar_resolution)
+                  for p in range(3)]
     first = 3 * c
     tasks += [partial(_hash_scatter, hashed,
                       table_up[:, first + l * f:first + (l + 1) * f],
                       grad_tables, l, cfg.hash_table_size)
-              for l in range(cfg.levels)]
+              for l in range(len(hashed[0]["res"]))]
     return tasks

@@ -49,10 +49,6 @@ class UnknownPreset(GeonlfError):
     pass
 
 
-class OutOfDomain(GeonlfError):
-    pass
-
-
 class TapeMissing(GeonlfError):
     pass
 

@@ -2,14 +2,17 @@
 
 Everything here is deliberately brute force (series summation, linear
 scans, double loops, finite differences) and shares no code with the
-library paths it checks. The one exception is `edge_chamfer`, a one-edge
-view of the library's graph loss for the tests that check a single pair
-of frames.
+library paths it checks. There are two exceptions: `edge_chamfer`, a
+one-edge view of the library's graph loss for the tests that check a single
+pair of frames, and `reference_masked_encoding`, which runs the library's
+planar encoder and mask weights to check which blocks the c2f mask skips.
 """
 
 import numpy as np
 
 from geonlf.cloud import RangeImage
+from geonlf.encoding import (mask_weights, planar_encode_backward,
+                             planar_encode_forward)
 from geonlf.geometry import so3_exp
 from geonlf.rcd import build_graph, graph_loss
 from geonlf.scene import Box, Cylinder, Rect, Sphere
@@ -235,6 +238,49 @@ def reference_hash_backward(levels, upstream, grad_tables):
         val_dot = (vals @ dy[:, :, None])[:, :, 0]
         dx += (val_dot[:, None, :] @ wgrads)[:, 0, :]
     return dx
+
+
+def reference_masked_encoding(x, planes, tables, cfg, alpha, upstream):
+    """The c2f-masked hybrid encoder computed in full: every block is
+    encoded, differentiated and scattered, and then scaled by its c2f
+    weight, 0 included. Returns (features, d/dx, plane gradients, table
+    gradients) of the batch x under the feature gradients `upstream`.
+
+    A block of weight 0 scales its negative features to -0.0 here, where
+    an encoder that skips the block writes +0.0; every other bit agrees.
+    """
+    if alpha is None:
+        w_hash, w_planar = np.ones(cfg.levels), 1.0
+    else:
+        w_hash, w_planar = mask_weights(alpha, cfg)
+    c, f = cfg.planar_channels, cfg.features_per_level
+    planar_feat, planar_cache = planar_encode_forward(x, planes, cfg)
+    hash_feat, levels = reference_hash_encode(x, tables,
+                                              cfg.level_resolutions())
+    if w_planar != 1.0:
+        planar_feat *= w_planar
+    for level in range(cfg.levels):
+        if w_hash[level] != 1.0:
+            hash_feat[:, level * f:(level + 1) * f] *= w_hash[level]
+    features = np.concatenate([planar_feat, hash_feat], axis=1)
+
+    up_planar = upstream[:, :c] * float(w_planar)
+    up_hash = upstream[:, c:].copy()
+    for level in range(cfg.levels):
+        up_hash[:, level * f:(level + 1) * f] *= w_hash[level]
+    dx_p, d_samples = planar_encode_backward(planar_cache, up_planar, cfg)
+    grad_tables = np.zeros(tables.shape)
+    dx_h = reference_hash_backward(levels, up_hash, grad_tables)
+    grad_planes = np.zeros(planes.shape)
+    m = cfg.planar_resolution
+    for p, (flat, weights, _, _, _) in enumerate(planar_cache["corners"]):
+        contrib = weights[:, :, None] * d_samples[:, None, p * c:(p + 1) * c]
+        gp = grad_planes[p].reshape(m * m, c)
+        for ch in range(c):
+            gp[:, ch] += np.bincount(flat.reshape(-1),
+                                     weights=contrib[:, :, ch].reshape(-1),
+                                     minlength=m * m)
+    return features, dx_p + dx_h, grad_planes, grad_tables
 
 
 # Scene geometry checks: the distance of points to the analytic surfaces,

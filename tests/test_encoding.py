@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geonlf.encoding import (EncodingConfig, c2f_weight, check_domain,
-                             encode_backward, encode_forward,
-                             hash_encode_backward, hash_encode_forward,
-                             mask_weights, planar_encode_backward,
-                             planar_encode_forward, table_scatters)
-from geonlf.errors import OutOfDomain
+from geonlf.encoding import (EncodingConfig, c2f_weight, encode_backward,
+                             encode_forward, hash_encode_backward,
+                             hash_encode_forward, mask_weights,
+                             planar_encode_backward, planar_encode_forward,
+                             table_scatters)
 from oracles import (hash_corner_indices, numeric_gradient,
-                     reference_hash_backward, reference_hash_encode)
+                     reference_hash_backward, reference_hash_encode,
+                     reference_masked_encoding)
 
 # Power-of-two resolutions make lattice corners exactly representable.
 CFG = EncodingConfig(levels=2, base_resolution=16, growth=2.0,
@@ -29,7 +29,7 @@ def make_tables(cfg, seed=0):
 
 def _forward_only(forward, x, *args):
     """Features of one point (3,) or a batch (n, 3), without the cache."""
-    out, _ = forward(x, *args)
+    out, _ = forward(np.atleast_2d(x), *args)
     return out[0] if np.asarray(x).ndim == 1 else out
 
 
@@ -114,15 +114,6 @@ class TestHashEncode:
                 expected.append(acc)
             np.testing.assert_allclose(out, np.concatenate(expected), atol=1e-12)
 
-    def test_out_of_domain(self):
-        tables, _ = make_tables(CFG)
-        with pytest.raises(OutOfDomain):
-            hash_encode(np.array([1.5, 0.5, 0.5]), tables, CFG)
-        # inside tolerance clamps instead
-        out = hash_encode(np.array([1.0 + 5e-7, 0.5, 0.5]), tables, CFG)
-        ref = hash_encode(np.array([1.0, 0.5, 0.5]), tables, CFG)
-        np.testing.assert_array_equal(out, ref)
-
 
 def assert_bits_equal(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape
@@ -185,11 +176,13 @@ def _backward(caches, upstream, cfg):
     """d/dx and the table gradients of one batch encoded in pieces with
     caches `caches` (or one cache), upstream stacked in the same order."""
     caches = caches if isinstance(caches, list) else [caches]
-    n = [k["planar"]["n"] for k in caches]
+    n = [k["hash"]["idx"].shape[1] for k in caches]
     pieces = [encode_backward(k, up, cfg) for k, up in
               zip(caches, np.split(upstream, np.cumsum(n)[:-1]))]
-    g_planes = np.zeros(caches[0]["planar"]["planes"].shape)
-    g_tables = np.zeros(caches[0]["hash"]["tables"].shape)
+    m = cfg.planar_resolution
+    g_planes = np.zeros((3, m, m, cfg.planar_channels))
+    g_tables = np.zeros((cfg.levels, cfg.hash_table_size,
+                         cfg.features_per_level))
     for task in table_scatters(caches, np.concatenate([t for _, t in pieces]),
                                g_planes, g_tables, cfg):
         task()
@@ -217,6 +210,76 @@ class TestTableScatters:
         assert np.abs(whole[1]).max() > 0 and np.abs(whole[2]).max() > 0
         for a, b in zip(whole, pieces):
             assert_bits_equal(a, b)
+
+
+# Alphas at which each block of the configs below has weight 0, a partial
+# weight and weight 1; None is the unmasked encoder.
+ALPHAS = [0.0, 0.3, 1.0, 1.5, 3.2, 4.0, 4.6, 5.0, None]
+# Resolutions 16, 24, 36, 54 with the planar block last (64) or third (30)
+# in the mask order.
+MASK_CFGS = [EncodingConfig(hash_table_size=2 ** 12),
+             EncodingConfig(hash_table_size=2 ** 12, planar_resolution=30)]
+
+
+def _zero_sign_free(a):
+    """`a` with every -0.0 read as +0.0 (-0.0 + 0.0 == +0.0 in IEEE)."""
+    return a + a.dtype.type(0)
+
+
+class TestSkippedBlocksMatchOracle:
+    """Blocks of c2f weight 0 are not encoded, differentiated or scattered,
+    and that changes no bit: features, d/dx and table gradients equal those
+    of the encoder that computes every block and then scales it. The one
+    difference is the sign of a masked zero feature, which the oracle takes
+    from the feature it scaled."""
+
+    @staticmethod
+    def _check(cfg, dtype, alpha, bounds):
+        tables, planes = (a.astype(dtype) for a in make_tables(cfg, 21))
+        rng = np.random.default_rng(22)
+        n = bounds[-1]
+        x = rng.uniform(size=(n, 3)).astype(dtype)
+        upstream = rng.normal(size=(n, cfg.feature_dim)).astype(dtype)
+        pieces = [encode_forward(x[lo:hi], planes, tables, cfg, alpha)
+                  for lo, hi in zip(bounds[:-1], bounds[1:])]
+        caches = [k for _, k in pieces]
+        feats = np.concatenate([fe for fe, _ in pieces])
+        dx, g_planes, g_tables = _backward(caches, upstream, cfg)
+        ref = reference_masked_encoding(x, planes, tables, cfg, alpha,
+                                        upstream)
+        assert_bits_equal(_zero_sign_free(feats), _zero_sign_free(ref[0]))
+        for a, b in zip((dx, g_planes, g_tables), ref[1:]):
+            assert_bits_equal(a, b)
+        # Only the live blocks were encoded and get a scatter task.
+        w_hash, w_planar = ((np.ones(cfg.levels), 1.0) if alpha is None
+                            else mask_weights(alpha, cfg))
+        live = int(np.count_nonzero(w_hash))
+        planar_live = w_planar != 0.0
+        for k in caches:
+            assert k["hash"]["idx"].shape[0] == live
+            assert (k["planar"] is not None) == planar_live
+        tasks = table_scatters(caches, np.zeros((n, 3 * cfg.planar_channels
+                                                 + cfg.levels
+                                                 * cfg.features_per_level)),
+                               g_planes, g_tables, cfg)
+        assert len(tasks) == 3 * planar_live + live
+        return g_planes, g_tables
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cfg", MASK_CFGS,
+                             ids=["planar_last", "planar_third"])
+    def test_bit_identical(self, cfg, dtype, alpha):
+        self._check(cfg, dtype, alpha, [0, 200])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pieces_at_masked_alpha(self, dtype):
+        """Levels 0 and 1 live, level 2 at half weight, level 3 and the
+        planar block masked; the batch is encoded in three pieces."""
+        g_planes, g_tables = self._check(MASK_CFGS[0], dtype, 2.5,
+                                         [0, 17, 120, 300])
+        assert not g_planes.any() and not g_tables[3].any()
+        assert g_tables[2].any()
 
 
 class TestPlanarEncode:
@@ -356,12 +419,3 @@ class TestEncodeBackward:
         fd = numeric_gradient(loss, x.ravel(), h=1e-7).reshape(5, 3)
         np.testing.assert_allclose(dx, fd, rtol=1e-4, atol=1e-6)
 
-
-class TestDomain:
-    def test_check_domain_clamps(self):
-        out = check_domain(np.array([[1.0 + 1e-7, -1e-8, 0.5]]))
-        assert out[0, 0] == 1.0 and out[0, 1] == 0.0
-
-    def test_check_domain_raises(self):
-        with pytest.raises(OutOfDomain):
-            check_domain(np.array([[0.5, 0.5, 1.1]]))

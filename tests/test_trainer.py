@@ -607,6 +607,28 @@ class TestTrainLoop:
         assert _ate(est, gt) < 5e-3
 
 
+class TestMaskedBlocksUntouched:
+    def test_all_masked_iteration_leaves_tables_untouched(self):
+        """At alpha 0 every encoder block has c2f weight 0. A training
+        iteration (render step, CD step, Adam) trains the MLP but leaves the
+        hash tables and planes at their initial bits, with gradients +0.0.
+        Progress reaches 1 on the last iteration of any longer run, where
+        every block is live, so the run is one iteration."""
+        images, _, init = make_dataset(frames=4)
+        cfg = small_cfg(iterations=1, cd_every=1)
+        params, _, logs = train(images, init, SMALL_SCANNER, cfg,
+                                enc_cfg=TINY_ENC)
+        assert [r["alpha"] for r in logs] == [0.0]
+        assert logs[0]["cd"] > 0.0
+        initial = FieldParams(TINY_ENC, hidden_width=cfg.hidden_width,
+                              seed=cfg.seed).params
+        for name in ("planes", "hash"):
+            assert params.params[name].tobytes() == initial[name].tobytes()
+            grad = params.grads[name]
+            assert grad.tobytes() == np.zeros_like(grad).tobytes()
+        assert params.params["w2"].tobytes() != initial["w2"].tobytes()
+
+
 class TestNonFiniteLoss:
     def test_names_the_first_non_finite_block(self):
         images, gt, _ = make_dataset(frames=3)
