@@ -258,10 +258,9 @@ class TestSkippedBlocksMatchOracle:
         for k in caches:
             assert k["hash"]["idx"].shape[0] == live
             assert (k["planar"] is not None) == planar_live
-        tasks = table_scatters(caches, np.zeros((n, 3 * cfg.planar_channels
-                                                 + cfg.levels
-                                                 * cfg.features_per_level)),
-                               g_planes, g_tables, cfg)
+        width = 3 * cfg.planar_channels + cfg.levels * cfg.features_per_level
+        tasks = table_scatters(caches, np.zeros((n, width)), g_planes,
+                               g_tables, cfg)
         assert len(tasks) == 3 * planar_live + live
         return g_planes, g_tables
 
@@ -418,4 +417,3 @@ class TestEncodeBackward:
 
         fd = numeric_gradient(loss, x.ravel(), h=1e-7).reshape(5, 3)
         np.testing.assert_allclose(dx, fd, rtol=1e-4, atol=1e-6)
-
