@@ -166,7 +166,6 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_baseline_icp(args) -> int:
-    cfg = _load_config(args)
     data = Path(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -236,11 +235,14 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _add_common(sub, data_arg=True):
+def _add_common(sub, data_arg=True, config=True, seed=False):
     if data_arg:
         sub.add_argument("data", help="dataset directory produced by `gen`")
-    sub.add_argument("--config", help="run configuration file")
-    sub.add_argument("--seed", type=int, default=None)
+    if config:
+        sub.add_argument("--config", help="run configuration file")
+    if seed:
+        sub.add_argument("--seed", type=int, default=None,
+                         help="overrides train.seed")
     sub.add_argument("--out", default="out", help="output directory")
 
 
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="rotation noise stddev, degrees")
     gen.add_argument("--sigma-trans", type=float, default=0.1,
                      help="translation noise stddev, scene units")
-    _add_common(gen, data_arg=False)
+    _add_common(gen, data_arg=False, seed=True)
     gen.set_defaults(func=cmd_gen)
 
     reg = subs.add_parser("register", help="pure geometric registration")
@@ -270,12 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     rec = subs.add_parser("reconstruct", help="full training run")
     rec.add_argument("--register-steps", type=int, default=200,
                      help="pose refinement steps per held-out view")
-    _add_common(rec)
+    _add_common(rec, seed=True)
     rec.set_defaults(func=cmd_reconstruct)
 
     icp = subs.add_parser("baseline-icp", help="sequential pairwise ICP")
     icp.add_argument("--max-iters", type=int, default=50)
-    _add_common(icp)
+    _add_common(icp, config=False)
     icp.set_defaults(func=cmd_baseline_icp)
 
     ev = subs.add_parser("eval", help="metrics between trajectories / scans")
@@ -286,14 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--seq", default="seq0")
     ev.add_argument("--fscore-threshold", type=float, default=0.05)
     ev.add_argument("--config", help="run configuration file")
-    ev.add_argument("--seed", type=int, default=None)
     ev.add_argument("--out", default=None)
     ev.set_defaults(func=cmd_eval)
 
     plot = subs.add_parser("plot", help="top-down SVG of trajectories")
     plot.add_argument("trajectories", nargs="+")
-    plot.add_argument("--config", default=None)
-    plot.add_argument("--seed", type=int, default=None)
     plot.add_argument("--out", default=None)
     plot.set_defaults(func=cmd_plot)
     return parser

@@ -4,9 +4,16 @@ voxel-grid downsampling, and PCA normal estimation.
 Nearest-neighbor search is exact (no approximation) so correspondence-based
 gradients and the test oracles agree deterministically. The kd-tree is
 provided by scipy; a repair pass enforces the lowest-index tie rule on top
-of it. Every large query is split over the CPUs the process may run on
-(`query_workers`); each query point is answered on its own, so results do
-not depend on the thread count.
+of it. `KdTree` splits cells at the sliding midpoint (Maneewongvatana &
+Mount, "It's okay to be skinny, if your friends are fat", 1999) and keeps
+each cell's full box rather than shrinking it to its points. The scans are
+2-manifolds, and many correspondence queries land away from the surface
+a tree was built on (off the overlap of two frames, or before alignment);
+there those cells prune better than scipy's default median splits. A
+`KdTree` result does not depend on the layout: the nearest index is unique
+unless two distances tie exactly, and ties are re-ranked. Every large query
+is split over the CPUs the process may run on (`query_workers`); each query
+point is answered on its own, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -25,11 +32,13 @@ from .errors import DegenerateNeighborhood, EmptyCloud, NonPositiveVoxel
 # (queries x k) runs on one thread: scipy starts its threads on every call,
 # and below this size that costs more than the split saves. Measured on a
 # 2-CPU host (median of 60 interleaved calls, corridor scans of the default
-# scanner): k = 2 from 2,048-point trees took 4.2 / 5.1 ms for 2,048
-# queries on 1 / 2 threads, 8.1 / 8.1 ms for 4,096 and 12.5 / 9.4 ms for
-# 8,192; k = 12 took 2.0 / 2.0 ms for 512 queries and 4.2 / 3.6 ms for
-# 1,024.
-SERIAL_NEIGHBOURS = 8192
+# scanner, seed 5, two runs): k = 2 from a 2,048-point `KdTree` took 1.2-1.3 /
+# 1.2 ms for 1,024 queries on 1 / 2 threads, 2.0-2.7 / 1.6-2.2 ms for
+# 2,048 and 5.0-5.7 / 3.6-4.0 ms for 4,096; k = 12 from a full scan took
+# 0.7-0.8 / 0.8 ms for 256 queries, 1.0-1.2 / 1.0-1.1 ms for 384 and
+# 1.3-1.6 / 1.1-1.4 ms for 512. The Chamfer step's two 2,048-point
+# queries with their builds took 9.1 / 6.7 ms (median of 100).
+SERIAL_NEIGHBOURS = 4096
 
 # Neighbours in the PCA of every normal estimate.
 NORMAL_NEIGHBORS = 12
@@ -65,9 +74,20 @@ class KdTree:
         if not np.isfinite(points).all():
             raise ValueError("kd-tree input contains non-finite coordinates")
         self.points = points
-        # 64 points per leaf: faster k=2 queries than 16, 32 or 128 on the
-        # geometric phase's clouds of a few thousand points.
-        self._tree = cKDTree(points, leafsize=64)
+        # Sliding-midpoint splits and unshrunk cell boxes (module
+        # docstring); both flags are needed, since sliding midpoints with
+        # compacted boxes were no faster than scipy's default. Replaying
+        # one geometric step's k = 2 queries on one thread (median of 11 / 7
+        # interleaved runs on seed 3 / 5), against the default layout: the
+        # corridor's 182k / 177k queries into ~4k-point voxel trees took
+        # 385 / 287 ms instead of 520 / 373 ms; the low-overlap preset's
+        # 91k into ~2k-point trees 144 / 109 ms instead of 197 / 131 ms;
+        # its first ICP sweep, 74k queries into 7-11k-point raw scans,
+        # 274 / 127 ms instead of 980 / 972 ms. Builds took 54-68% as
+        # long. Leaves of 16, 32, 64 and 128 points were within ~10%, 64
+        # fastest or tied.
+        self._tree = cKDTree(points, leafsize=64, balanced_tree=False,
+                             compact_nodes=False)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -170,8 +190,12 @@ def estimate_normals(cloud: PointCloud) -> PointCloud:
     if len(cloud) <= k:
         raise EmptyCloud(f"need more than {k} points, got {len(cloud)}")
 
-    # Leaf size 16, unlike KdTree: when the k-th and (k+1)-th neighbors tie,
-    # which one a k-NN query returns depends on the tree's layout.
+    # Leaf size 16 and scipy's default layout, unlike KdTree: the order of
+    # equidistant neighbours, and which one a k-NN query returns when the
+    # k-th and (k+1)-th tie, depend on the tree's layout, and the PCA sums
+    # follow that order. KdTree's layout reorders 3,882 of 2,263,776
+    # neighbour slots of the normal queries on the corridor and
+    # low-overlap scans of seed 3 and changes 162 of 188,648 normals.
     tree = cKDTree(cloud.points, leafsize=16)
     _, nn_idx = tree.query(cloud.points, k=k,
                            workers=query_workers(len(cloud) * k))

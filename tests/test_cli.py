@@ -203,6 +203,22 @@ class TestErrors:
                    "--out", str(tmp_path / "x"), "--config", str(bad)])
         assert rc == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["plot", "t.txt", "--config", "c.cfg"],
+        ["plot", "t.txt", "--seed", "1"],
+        ["eval", "e.txt", "r.txt", "--seed", "1"],
+        ["baseline-icp", "data", "--config", "c.cfg"],
+        ["baseline-icp", "data", "--seed", "1"],
+        ["register", "data", "--seed", "1"],
+    ])
+    def test_unread_flag_is_a_usage_error(self, argv, capsys):
+        # Flags a subcommand never reads are not accepted: argparse exits
+        # with its usage error before anything runs.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_unknown_preset_exit_1(self, tmp_path):
         rc = main(["gen", "--preset", "corridor", "--frames", "3",
                    "--out", str(tmp_path / "y")])

@@ -74,23 +74,55 @@ class TestKdTree:
             ref = np.array([linear_scan_nearest(pts, q)[0] for q in queries])
             np.testing.assert_array_equal(idx, ref)
 
-    @pytest.mark.parametrize("kind", ["lattice", "random"])
+    @pytest.mark.parametrize("kind", ["lattice", "random", "coplanar",
+                                      "collinear", "duplicates", "far"])
     def test_tie_rule_for_any_worker_count(self, kind, monkeypatch):
         # Large enough for a multi-level tree of 64-point leaves, with the
         # batch split over two threads. On the lattice, half-integer
         # coordinates make 2-, 4- and 8-way ties; the point order is
-        # shuffled so the lowest index is not the first one found.
+        # shuffled so the lowest index is not the first one found. The
+        # other clouds make the skinny and empty cells of sliding-midpoint
+        # splits: a flat and a straight cloud (zero spread on an axis),
+        # more copies of one point than a leaf holds, and queries 10x the
+        # extent outside the lattice's bounding box (the low-overlap
+        # regime). Coordinates on power-of-two grids make the distances
+        # exact and the ties real.
         rng = np.random.default_rng(12)
-        if kind == "lattice":
+        if kind in ("lattice", "far"):
             axis = np.arange(13.0)
             pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
                            axis=-1).reshape(-1, 3)
             pts = pts[rng.permutation(len(pts))]
+        if kind == "lattice":
             queries = (rng.integers(0, 12, size=(6000, 3))
                        + rng.choice([0.0, 0.5], size=(6000, 3)))
-        else:
+        elif kind == "random":
             pts = rng.normal(size=(3000, 3))
             queries = rng.normal(size=(3000, 3))
+        elif kind == "coplanar":
+            pts = np.column_stack([rng.integers(0, 32, size=(3000, 2)) / 32,
+                                   np.full(3000, 0.5)])
+            queries = np.column_stack([
+                rng.integers(0, 64, size=(2000, 2)) / 64,
+                rng.choice([0.5, 0.625, 0.25], size=2000)])
+        elif kind == "collinear":
+            pts = np.column_stack([rng.integers(0, 1024, size=3000) / 64,
+                                   np.zeros(3000), np.zeros(3000)])
+            queries = np.column_stack([rng.integers(0, 2048, size=2000) / 128,
+                                       rng.integers(-4, 5, size=(2000, 2)) / 8])
+        elif kind == "duplicates":
+            dup = np.array([0.25, 0.25, 0.25])
+            pts = np.vstack([rng.uniform(-1, 1, size=(2000, 3)),
+                             np.tile(dup, (100, 1))])
+            pts = pts[rng.permutation(len(pts))]
+            queries = np.vstack([np.tile(dup, (10, 1)),
+                                 dup + rng.normal(0, 1e-3, size=(500, 3)),
+                                 rng.uniform(-1, 1, size=(1000, 3))])
+        else:
+            queries = rng.integers(-120, 133, size=(2000, 3)) + 0.5
+            beyond = 120.0 + rng.uniform(0, 12, size=2000)
+            queries[np.arange(2000), rng.integers(0, 3, size=2000)] = np.where(
+                rng.random(2000) < 0.5, -beyond, 12.0 + beyond)
         ref = [linear_scan_nearest(pts, q) for q in queries]
         results = []
         for workers in (1, 2):
