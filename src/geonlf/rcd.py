@@ -95,10 +95,6 @@ def build_graph(num_frames: int, window: int) -> FrameGraph:
     return FrameGraph(num_frames, window, edges)
 
 
-def graph_denominator(num_frames: int, window: int) -> int:
-    return window * num_frames - window * (window + 1) // 2
-
-
 def correspondence_weights(distances: np.ndarray, t: float,
                            voxel_size: float) -> np.ndarray:
     """Softmax over inverse clipped distances, sharpened by temperature t.
@@ -295,7 +291,7 @@ def graph_loss(clouds: list[PointCloud], poses: list[Se3Param],
                trees: list[KdTree] | None = None):
     """Mean robust Chamfer over all graph edges.
 
-    Normalized by n*M - n*(n+1)/2 (the edge count); per-frame gradients are
+    Normalized by the edge count; per-frame gradients are
     accumulated over incident edges in sorted edge order. Every edge gives
     what a one-edge graph of its two frames gives, bit for bit; the
     correspondences of all edges come from one pass
@@ -313,7 +309,7 @@ def graph_loss(clouds: list[PointCloud], poses: list[Se3Param],
         trees = [KdTree(c.points) for c in clouds]
     frames = [_PosedFrame(c, p) for c, p in zip(clouds, poses)]
     pairs = _graph_correspondences(frames, graph, trees)
-    denom = float(graph_denominator(graph.num_frames, graph.window))
+    denom = float(len(graph.edges))
     grads = np.zeros((graph.num_frames, 6))
     total = 0.0
     for i, j in graph.edges:

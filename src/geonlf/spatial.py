@@ -36,8 +36,8 @@ from .errors import DegenerateNeighborhood, EmptyCloud, NonPositiveVoxel
 # 1.2 ms for 1,024 queries on 1 / 2 threads, 2.0-2.7 / 1.6-2.2 ms for
 # 2,048 and 5.0-5.7 / 3.6-4.0 ms for 4,096; k = 12 from a full scan took
 # 0.7-0.8 / 0.8 ms for 256 queries, 1.0-1.2 / 1.0-1.1 ms for 384 and
-# 1.3-1.6 / 1.1-1.4 ms for 512. The Chamfer step's two 2,048-point
-# queries with their builds took 9.1 / 6.7 ms (median of 100).
+# 1.3-1.6 / 1.1-1.4 ms for 512. A symmetric Chamfer distance between two
+# 2,048-point clouds, with both builds, took 9.1 / 6.7 ms (median of 100).
 SERIAL_NEIGHBOURS = 4096
 
 # Neighbours in the PCA of every normal estimate.

@@ -1,7 +1,10 @@
 """The full alternating training loop: bundle-adjusting global optimization
 of the neural field and poses, interleaved with pure geometric pose
 optimization on the frame graph, plus selective reweighting of outlier
-frames and 3D Chamfer/normal constraints on synthesized clouds.
+frames. Every `cd_every`-th training batch also carries a 3D Chamfer
+constraint between its synthesized and observed points, and logs their
+normal consistency. Each iteration renders one batch and runs one reverse
+pass.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from .errors import (DegenerateNeighborhood, EmptyBatch, EmptyCloud,
 from .field import (PARAM_NAMES, FieldParams, backward, pose_rays, render_rays,
                     sensor_directions)
 from .formats import loss_row
-from .geometry import (Se3Param, Trajectory, se3_decoupled, so3_exp,
-                       so3_left_jacobian)
+from .geometry import Se3Param, Trajectory, se3_decoupled
 from .optim import Adam, exp_decay
 from .rcd import GeoSession, RcdConfig, build_graph, temperature_at
 from .scene import ScannerConfig, unproject
@@ -59,7 +61,6 @@ class TrainConfig:
     alt_ratio_end: float = 1.0
     m1: int = 1
     cd_every: int = 10
-    cd_subsample: int = 2048
     hidden_width: int = 32
     use_sr: bool = True
     use_geo: bool = True
@@ -263,22 +264,43 @@ def render_batch(params: FieldParams, pose: Se3Param, d_sensor: np.ndarray,
 def render_step(params: FieldParams, pose: Se3Param, d_sensor: np.ndarray,
                 target, scanner: ScannerConfig, cfg: TrainConfig,
                 alpha: float | None, rng: np.random.Generator,
-                field_grads: bool):
-    """The 2D objective at one pose: draw a batch of pixels, render them,
+                field_grads: bool, chamfer: bool = False):
+    """The objective at one pose: draw a batch of pixels, render them,
     score them against the flat `target` with `render_loss`, and run the
     reverse pass. With `field_grads` the field gradients are zeroed and
     filled; without, the field is frozen and params.grads is not touched.
 
-    Returns (loss, unweighted terms, pose gradient 6-vector).
+    With `chamfer`, the batch's valid pixels also give two clouds, placed
+    at `pose`: the synthesized points (rendered depth) and the observed
+    ones (target depth). Their `cd_loss_3d` joins the objective with weight
+    cfg.lambda_cd, and `normal_loss` is measured on the same pairs. Both
+    clouds lie on the same rays from the same origin, so the distance
+    depends on the pose only through rendered depth: its gradient enters
+    the one reverse pass as a depth upstream, and is the exact derivative.
+
+    Returns (2D loss, unweighted terms, pose gradient 6-vector); the terms
+    hold "cd" and "normal", 0.0 when not measured.
     """
     pix = rng.choice(d_sensor.shape[0],
                      size=min(cfg.rays_per_batch, d_sensor.shape[0]),
                      replace=False)
-    _, _, depth, intens, drop, tape = render_batch(
+    origins, dirs, depth, intens, drop, tape = render_batch(
         params, pose, d_sensor, pix, scanner, cfg, alpha, rng)
+    batch = tuple(t[pix] for t in target)
     loss, comps, (gd, gi, gp) = render_loss(
-        (depth, intens, drop), tuple(t[pix] for t in target),
+        (depth, intens, drop), batch,
         cfg.lambda_depth, cfg.lambda_intensity, cfg.lambda_raydrop)
+    comps["cd"] = comps["normal"] = 0.0
+    valid = batch[3]
+    # A normal estimate needs more than NORMAL_NEIGHBORS points per cloud.
+    if chamfer and valid.sum() > NORMAL_NEIGHBORS:
+        o, d = origins[valid], dirs[valid]
+        synth = PointCloud(o + depth[valid, None] * d)
+        seen = PointCloud(o + batch[0][valid, None] * d)
+        comps["cd"], grad_synth, pairs = cd_loss_3d(synth, seen)
+        comps["normal"] = normal_loss(synth, seen, pairs)
+        # d synth / d depth = ray direction.
+        gd[valid] += cfg.lambda_cd * np.einsum("ni,ni->n", grad_synth, d)
     if field_grads:
         params.zero_grads()
     return loss, comps, backward(tape, gd, gi, gp, field_grads)
@@ -306,14 +328,14 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
 
     rng = np.random.default_rng(cfg.seed)
     params = FieldParams(enc_cfg, hidden_width=cfg.hidden_width, seed=cfg.seed)
-    clouds = [unproject(img, scanner) for img in images]
     h, w = images[0].shape
     d_sensor = sensor_directions(h, w, scanner.fov_up_deg,
                                  scanner.fov_down_deg).reshape(-1, 3)
     targets = [_flat_target(img) for img in images]
 
     graph = build_graph(m, min(cfg.graph_window, m - 1))
-    geo = GeoSession(clouds, graph, cfg.rcd) if cfg.use_geo else None
+    geo = (GeoSession([unproject(img, scanner) for img in images], graph,
+                      cfg.rcd) if cfg.use_geo else None)
     adam_field = Adam()
     adam_pose = Adam()
     adam_geo = Adam()
@@ -340,20 +362,11 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
 
         loss_r, comps, pose_grad = render_step(
             params, poses[frame], d_sensor, targets[frame], scanner, cfg,
-            alpha, rng, field_grads=True)
-
-        cd_val = normal_val = 0.0
-        valid = targets[frame][3]
-        if cfg.cd_every > 0 and it % cfg.cd_every == 0 and valid.sum() > 16:
-            cd_val, normal_val, cd_pose_grad = _cd_step(
-                params, poses[frame], d_sensor, valid, clouds[frame],
-                scanner, cfg, alpha, rng)
-            pose_grad = pose_grad + cd_pose_grad
-
-        total = (loss_r + cfg.lambda_cd * cd_val
-                 + cfg.lambda_normal * normal_val)
-        _check_finite(total, it, frame, {**comps, "cd": cd_val,
-                                         "normal": normal_val}, params, poses)
+            alpha, rng, field_grads=True,
+            chamfer=cfg.cd_every > 0 and it % cfg.cd_every == 0)
+        total = (loss_r + cfg.lambda_cd * comps["cd"]
+                 + cfg.lambda_normal * comps["normal"])
+        _check_finite(total, it, frame, comps, params, poses)
 
         if cfg.use_sr and frame in outliers:
             params.scale_grads(reweight_factor(progress, cfg.w0_start))
@@ -366,8 +379,8 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
                            pose_grad[3:], lr=lr_rot)
 
         tracker.update(frame, loss_r)
-        logs.append(loss_row(it, "global", total, frame, **comps, cd=cd_val,
-                             normal=normal_val, alpha=alpha, t_temp=t_temp))
+        logs.append(loss_row(it, "global", total, frame, **comps,
+                             alpha=alpha, t_temp=t_temp))
 
         if (it + 1) % m == 0:
             if tracker.all_seen():
@@ -386,45 +399,6 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
 
     traj = Trajectory(frame_ids, np.array([se3_decoupled(p) for p in poses]))
     return params, traj, logs
-
-
-def _cd_step(params, pose, d_sensor, valid, gt_cloud, scanner, cfg, alpha, rng):
-    """Render a subsampled batch, form the synthesized world cloud, and
-    backpropagate the 3D Chamfer gradient into field and pose; the normal
-    constraint is evaluated alongside.
-
-    The ground-truth cloud is placed at the frame's current pose estimate
-    and treated as a fixed target; gradients flow through the synthesized
-    points only (via rendered depth, ray origin, and ray direction).
-    Returns (cd value, normal value, pose gradient 6-vector).
-    """
-    valid_idx = np.nonzero(valid)[0]
-    take = min(cfg.cd_subsample, valid_idx.shape[0])
-    pix = rng.choice(valid_idx, size=take, replace=False)
-    origins, dirs, depth, _, _, tape = render_batch(
-        params, pose, d_sensor, pix, scanner, cfg, alpha, rng)
-    synth_pts = origins + depth[:, None] * dirs
-
-    gt_take = min(cfg.cd_subsample, len(gt_cloud))
-    gt_sub = gt_cloud.subset(rng.choice(len(gt_cloud), size=gt_take,
-                                        replace=False))
-    rot = so3_exp(pose.phi)
-    gt_world = PointCloud(gt_sub.points @ rot.T + pose.rho)
-
-    synth_cloud = PointCloud(synth_pts)
-    cd_val, grad_synth, pairs = cd_loss_3d(synth_cloud, gt_world)
-    normal_val = normal_loss(synth_cloud, gt_world, pairs) \
-        if min(len(synth_cloud), len(gt_world)) > NORMAL_NEIGHBORS else 0.0
-
-    grad_synth = cfg.lambda_cd * grad_synth
-    # Through rendered depth: d p_hat / d depth = ray direction.
-    d_depth = np.einsum("ni,ni->n", grad_synth, dirs)
-    pose_grad = backward(tape, d_depth, 0.0, 0.0)
-    # Direct dependence p_hat = rho + depth * R d_sensor.
-    pose_grad[:3] += grad_synth.sum(axis=0)
-    torque = np.cross(dirs, depth[:, None] * grad_synth).sum(axis=0)
-    pose_grad[3:] += so3_left_jacobian(pose.phi).T @ torque
-    return cd_val, normal_val, pose_grad
 
 
 def render_full_image(params: FieldParams, pose: Se3Param,

@@ -104,6 +104,12 @@ def edge_chamfer(cloud_p, cloud_q, xi_p, xi_q, cfg, t, trees=None):
     return loss, grads[0], grads[1]
 
 
+def graph_denominator(num_frames: int, window: int) -> int:
+    """Closed-form edge count of build_graph(num_frames, window) for a
+    window below num_frames: n*M - n*(n+1)/2."""
+    return window * num_frames - window * (window + 1) // 2
+
+
 def brute_chamfer(a, b):
     """Symmetric mean squared nearest-neighbor distance, double loop."""
     d2_ab = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)

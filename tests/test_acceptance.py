@@ -22,13 +22,14 @@ from geonlf.geometry import (Se3Param, Trajectory, rotation_angle,
                              se3_decoupled, so3_exp)
 from geonlf.metrics import chamfer_fscore, image_metrics, pose_metrics
 from geonlf.rcd import (RcdConfig, build_graph, correspondence_weights,
-                        geo_optimize, graph_denominator, graph_loss)
+                        geo_optimize, graph_loss)
 from geonlf.scene import (ScannerConfig, lidar_scan, make_scene,
                           make_trajectory, perturb_poses)
 from geonlf.trainer import (TrainConfig, FrameLossTracker, reweight_factor,
                             render_loss, select_outliers, train)
 from oracles import (brute_chamfer, brute_fscore, edge_chamfer,
-                     numeric_gradient, se3_full_exp, series_se3_exp)
+                     graph_denominator, numeric_gradient, se3_full_exp,
+                     series_se3_exp)
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

@@ -33,7 +33,6 @@ def _small_cfg(tmp_path_factory):
         "train.iterations = 48\n"
         "train.rays_per_batch = 128\n"
         "train.samples_per_ray = 16\n"
-        "train.cd_subsample = 256\n"
         "train.hidden_width = 16\n"
         "train.top_k = 2\n"
         "field.levels = 2\n"

@@ -1,7 +1,12 @@
+import ast
+from pathlib import Path
+
 import pytest
 
-from geonlf.config import RunConfig
+from geonlf.config import _EXTRA_DEFAULTS, RunConfig
 from geonlf.errors import ConfigError
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "geonlf"
 
 
 class TestRunConfig:
@@ -72,6 +77,37 @@ class TestRunConfig:
         # These keys changed no number and are gone; a gen.cfg written
         # while they existed must have them deleted.
         for key in ("train.w0_end", "train.share_pose_adam",
-                    "field.sinusoidal_levels"):
+                    "field.sinusoidal_levels", "train.cd_subsample"):
             with pytest.raises(ConfigError):
                 RunConfig.parse(f"{key} = 1\n")
+
+
+def _reads() -> tuple[set[str], set[str]]:
+    """(attributes read, string constants) in `src/geonlf/*.py`, leaving
+    out the `_EXTRA_DEFAULTS` table that declares the extra keys."""
+    attrs, strings = set(), set()
+    for path in SRC.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "_EXTRA_DEFAULTS"
+                    for t in stmt.targets):
+                continue
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    attrs.add(node.attr)
+                elif (isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)):
+                    strings.add(node.value)
+    return attrs, strings
+
+
+def test_every_config_key_is_read():
+    """A config dataclass field must be read as an attribute somewhere in
+    `src/`, and an extra key as a string, so that no key outlives the code
+    that reads it."""
+    attrs, strings = _reads()
+    unread = [key for key in RunConfig().values
+              if (key not in strings if key in _EXTRA_DEFAULTS
+                  else key.partition(".")[2] not in attrs)]
+    assert not unread, f"config keys nothing reads: {unread}"

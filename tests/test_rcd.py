@@ -10,12 +10,13 @@ from geonlf.geometry import (Se3Param, Trajectory, rotation_angle,
                              se3_decoupled, so3_exp)
 from geonlf.icp import icp_pairwise
 from geonlf.rcd import (GeoSession, RcdConfig, build_graph,
-                        correspondence_weights, geo_optimize,
-                        graph_denominator, graph_loss, temperature_at)
+                        correspondence_weights, geo_optimize, graph_loss,
+                        temperature_at)
 from geonlf.metrics import pose_metrics
 from geonlf.scene import (ScannerConfig, lidar_scan, make_scene,
                           make_trajectory, perturb_poses, unproject)
-from oracles import brute_chamfer, edge_chamfer, numeric_gradient
+from oracles import (brute_chamfer, edge_chamfer, graph_denominator,
+                     numeric_gradient)
 
 
 class TestBuildGraph:

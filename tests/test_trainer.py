@@ -16,13 +16,12 @@ from geonlf.geometry import Se3Param, Trajectory, so3_exp
 from geonlf.metrics import pose_metrics
 from geonlf.rcd import RcdConfig
 from geonlf.scene import (ScannerConfig, lidar_scan, make_scene,
-                          make_trajectory, perturb_poses, unproject)
-from geonlf.trainer import (FrameLossTracker, TrainConfig, _cd_step,
-                            _flat_target, alternation_ratio, c2f_alpha,
-                            cd_loss_3d, normal_loss, register_novel_view,
-                            render_batch, render_full_image, render_loss,
-                            render_step, reweight_factor, select_outliers,
-                            train)
+                          make_trajectory, perturb_poses)
+from geonlf.trainer import (FrameLossTracker, TrainConfig, _flat_target,
+                            alternation_ratio, c2f_alpha, cd_loss_3d,
+                            normal_loss, register_novel_view, render_batch,
+                            render_full_image, render_loss, render_step,
+                            reweight_factor, select_outliers, train)
 from oracles import brute_chamfer, numeric_gradient
 
 TINY_ENC = EncodingConfig(levels=3, base_resolution=8, growth=1.6,
@@ -35,8 +34,8 @@ SMALL_SCANNER = ScannerConfig(beams=16, azimuth_steps=120, max_range=1.2,
 
 def small_cfg(**kw):
     base = dict(iterations=240, rays_per_batch=256, samples_per_ray=32,
-                cd_every=10, cd_subsample=512, hidden_width=16, top_k=2,
-                seed=0, rcd=RcdConfig(voxel_size=0.02))
+                cd_every=10, hidden_width=16, top_k=2, seed=0,
+                rcd=RcdConfig(voxel_size=0.02))
     base.update(kw)
     return TrainConfig(**base)
 
@@ -203,9 +202,9 @@ def _set_cpus(monkeypatch, cpus):
 
 class TestShardInvariance:
     """Training renders on every CPU in shards of a fixed size; the loss,
-    the pose gradient and every field gradient must not depend on the CPU
-    count, and must equal those of the batch rendered in one piece, bit
-    for bit."""
+    the Chamfer and normal terms, the pose gradient and every field
+    gradient must not depend on the CPU count, and must equal those of the
+    batch rendered in one piece, bit for bit."""
 
     CPUS = (1, 2, 3, 8)
 
@@ -214,14 +213,12 @@ class TestShardInvariance:
         # 100 rays are less than one shard; 700 are two shards and a part.
         assert rays * 64 < SHARD_SAMPLES or (rays * 64) % SHARD_SAMPLES
         images, gt, _ = make_dataset(frames=3)
-        cfg = TrainConfig(rays_per_batch=rays, cd_subsample=rays + 37)
+        cfg = TrainConfig(rays_per_batch=rays)
         d_sensor = sensor_directions(
             SMALL_SCANNER.beams, SMALL_SCANNER.azimuth_steps,
             SMALL_SCANNER.fov_up_deg, SMALL_SCANNER.fov_down_deg
         ).reshape(-1, 3)
         target = _flat_target(images[1])
-        assert target[3].sum() > cfg.cd_subsample
-        cloud = unproject(images[1], SMALL_SCANNER)
         pose = Se3Param.from_matrix(gt.poses[1])
         pose.rho += [0.01, -0.01, 0.005]
 
@@ -229,12 +226,11 @@ class TestShardInvariance:
             params = _textured_params(hidden_width=cfg.hidden_width)
             rng = np.random.default_rng(5)
             loss, comps, grad = render_step(params, pose, d_sensor, target,
-                                            SMALL_SCANNER, cfg, 3.5, rng, True)
-            cd = _cd_step(params, pose, d_sensor, target[3], cloud,
-                          SMALL_SCANNER, cfg, 3.5, rng)
+                                            SMALL_SCANNER, cfg, 3.5, rng, True,
+                                            chamfer=True)
             frozen = render_step(params, pose, d_sensor, target,
                                  SMALL_SCANNER, cfg, None, rng, False)
-            return (loss, comps, grad, cd, frozen,
+            return (loss, comps, grad, frozen,
                     {k: g.copy() for k, g in params.grads.items()})
 
         # The reference renders the batch in one piece, so that sums taken
@@ -244,6 +240,7 @@ class TestShardInvariance:
             m.setattr(field, "SHARD_SAMPLES", 10 ** 9)
             want = steps()
         assert all(np.abs(g).max() > 0 for g in want[-1].values())
+        assert want[1]["cd"] > 0 and want[1]["normal"] > 0
         for cpus in self.CPUS:
             _set_cpus(monkeypatch, cpus)
             got = steps()
@@ -251,8 +248,6 @@ class TestShardInvariance:
             np.testing.assert_array_equal(got[2], want[2])
             assert got[3][:2] == want[3][:2]
             np.testing.assert_array_equal(got[3][2], want[3][2])
-            assert got[4][:2] == want[4][:2]
-            np.testing.assert_array_equal(got[4][2], want[4][2])
             for name in PARAM_NAMES:
                 np.testing.assert_array_equal(got[-1][name], want[-1][name],
                                               err_msg=f"{name}, {cpus} CPUs")
@@ -260,8 +255,7 @@ class TestShardInvariance:
     def test_train_equal_for_one_and_two_cpus(self, monkeypatch):
         images, _, init = make_dataset(frames=4)
         # 1200 rays of 32 samples are two shards and a part.
-        cfg = small_cfg(iterations=8, rays_per_batch=1200, cd_every=3,
-                        cd_subsample=700)
+        cfg = small_cfg(iterations=8, rays_per_batch=1200, cd_every=3)
 
         def run(cpus):
             _set_cpus(monkeypatch, cpus)
@@ -274,9 +268,18 @@ class TestShardInvariance:
             np.testing.assert_array_equal(p1.params[name], p2.params[name])
 
 
+def _chamfer_only(**kw):
+    """small_cfg with the 2D terms off: a step's objective is then the
+    Chamfer term alone."""
+    return small_cfg(lambda_depth=0.0, lambda_intensity=0.0,
+                     lambda_raydrop=0.0, **kw)
+
+
 class TestCdStepGradient:
-    """The pose gradient of the 3D Chamfer step, with the ground-truth
-    cloud held fixed in the world, against central differences."""
+    """The pose gradient of a training step's 3D Chamfer term against
+    central differences. The observed points are the target depths along
+    the batch's rays: they are held fixed in the sensor frame, so they move
+    with the pose."""
 
     def test_pose_gradient_matches_fd(self):
         scanner = ScannerConfig(beams=8, azimuth_steps=48, max_range=1.2)
@@ -288,35 +291,61 @@ class TestCdStepGradient:
         scan_pose[:3, :3] = so3_exp([0.0, 0.0, 0.2]) @ scan_pose[:3, :3]
         image, _ = lidar_scan(make_scene("corridor", 0), scan_pose, scanner,
                               seed=0)
-        gt_cloud = unproject(image, scanner)
+        target = _flat_target(image)
         d_sensor = sensor_directions(8, 48, scanner.fov_up_deg,
                                      scanner.fov_down_deg).reshape(-1, 3)
-        valid = image.valid.reshape(-1)
         params = _textured_params(np.float64)
-        cfg = small_cfg(samples_per_ray=8, cd_subsample=64)
+        cfg = _chamfer_only(samples_per_ray=8, rays_per_batch=64)
         true_pose = Se3Param.from_matrix(scan_pose)
         pose = Se3Param(true_pose.rho + [0.01, -0.02, 0.005],
                         true_pose.phi + [0.02, -0.01, 0.03])
 
-        def cd_step(at, cloud):
-            # The same seed draws the same pixels, jitter and target subset.
-            return _cd_step(params, at, d_sensor, valid, cloud, scanner, cfg,
-                            None, np.random.default_rng(9))
+        def step(v):
+            # The same seed draws the same pixels and jitter.
+            return render_step(params, Se3Param(v[:3], v[3:]), d_sensor,
+                               target, scanner, cfg, None,
+                               np.random.default_rng(9), False, chamfer=True)
 
-        _, _, pose_grad = cd_step(pose, gt_cloud)
-        world = gt_cloud.points @ so3_exp(pose.phi).T + pose.rho
-
-        def value(v):
-            at = Se3Param(v[:3], v[3:])
-            # _cd_step places the cloud at `at`; undo that so the target
-            # stays where it was at the base pose.
-            local = PointCloud((world - at.rho) @ so3_exp(at.phi))
-            return cfg.lambda_cd * cd_step(at, local)[0]
-
-        fd = numeric_gradient(value, np.concatenate([pose.rho, pose.phi]),
-                              h=1e-6)
+        base = np.concatenate([pose.rho, pose.phi])
+        _, _, pose_grad = step(base)
+        fd = numeric_gradient(lambda v: cfg.lambda_cd * step(v)[1]["cd"],
+                              base, h=1e-6)
         assert np.abs(fd).max() > 1e-3
         np.testing.assert_allclose(pose_grad, fd, rtol=1e-4, atol=1e-8)
+
+
+class TestChamferPoseStep:
+    """Against a target the field renders itself from P*, so that the field
+    is perfect for it, a small step along the negative Chamfer pose
+    gradient from a perturbed P* moves toward P* in translation and in
+    rotation."""
+
+    TRUTH = Se3Param([0.45, 0.5, 0.3], [0.0, 0.0, 0.3])
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_step_does_not_increase_pose_error(self, seed):
+        params = _textured_params(np.float64, seed=seed)
+        cfg = _chamfer_only(rays_per_batch=1024, samples_per_ray=64)
+        d_sensor = sensor_directions(
+            SMALL_SCANNER.beams, SMALL_SCANNER.azimuth_steps,
+            SMALL_SCANNER.fov_up_deg, SMALL_SCANNER.fov_down_deg
+        ).reshape(-1, 3)
+        _, _, depth, intens, drop, _ = render_batch(
+            params, self.TRUTH, d_sensor, slice(None), SMALL_SCANNER, cfg)
+        target = (depth, intens, drop, np.ones(depth.shape[0], bool))
+        # About 2 cm and 1 degree off.
+        error = np.concatenate([[0.012, -0.012, 0.008],
+                                np.deg2rad([0.6, -0.5, 0.6])])
+        pose = Se3Param(self.TRUTH.rho + error[:3],
+                        self.TRUTH.phi + error[3:])
+        _, _, grad = render_step(params, pose, d_sensor, target,
+                                 SMALL_SCANNER, cfg, None,
+                                 np.random.default_rng(7), False,
+                                 chamfer=True)
+        for part in (slice(0, 3), slice(3, 6)):
+            g = grad[part]
+            moved = error[part] - 1e-3 * g / np.linalg.norm(g)
+            assert np.linalg.norm(moved) < np.linalg.norm(error[part])
 
 
 class TestRenderFullImage:
@@ -575,6 +604,21 @@ class TestTrainLoop:
                           + cfg.lambda_normal * row["normal"])
             np.testing.assert_allclose(row["total"], recomputed, atol=1e-9)
 
+    def test_one_render_and_one_backward_per_iteration(self, monkeypatch):
+        images, _, init = make_dataset(frames=4)
+        cfg = small_cfg(iterations=6, cd_every=2)
+        calls = {"render_rays": 0, "backward": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(trainer, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(trainer, name, counted)
+        _, _, logs = train(images, init, SMALL_SCANNER, cfg, enc_cfg=TINY_ENC)
+        assert calls == {"render_rays": 6, "backward": 6}
+        cd = [r["cd"] for r in logs if r["phase"] == "global"]
+        assert [c > 0.0 for c in cd] == [True, False] * 3
+
     def test_gauge_frame_bit_identical(self):
         images, gt, init = make_dataset(frames=4)
         cfg = small_cfg(iterations=32)
@@ -610,10 +654,11 @@ class TestTrainLoop:
 class TestMaskedBlocksUntouched:
     def test_all_masked_iteration_leaves_tables_untouched(self):
         """At alpha 0 every encoder block has c2f weight 0. A training
-        iteration (render step, CD step, Adam) trains the MLP but leaves the
-        hash tables and planes at their initial bits, with gradients +0.0.
-        Progress reaches 1 on the last iteration of any longer run, where
-        every block is live, so the run is one iteration."""
+        iteration (render step with the Chamfer term, Adam) trains the MLP
+        but leaves the hash tables and planes at their initial bits, with
+        gradients +0.0. Progress reaches 1 on the last iteration of any
+        longer run, where every block is live, so the run is one
+        iteration."""
         images, _, init = make_dataset(frames=4)
         cfg = small_cfg(iterations=1, cd_every=1)
         params, _, logs = train(images, init, SMALL_SCANNER, cfg,
