@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 
@@ -23,7 +22,7 @@ from .encoding import (EncodingConfig, encode_backward, encode_forward,
                        table_scatters)
 from .errors import ShapeMismatch, TapeMissing
 from .geometry import Se3Param, so3_exp, so3_left_jacobian
-from .spatial import usable_cpus
+from .spatial import pool_map
 
 CHECKPOINT_MAGIC = b"GNLF"
 CHECKPOINT_VERSION = 1
@@ -192,29 +191,12 @@ def _composite_backward(g_w: np.ndarray, weights: np.ndarray,
 
 
 # Samples per shard: every `render_rays` call is cut into runs of this many
-# samples (256 rays at 64 per ray), which render on the shared pool. The
-# size is fixed, not a share of the CPU count, so every machine does the
-# same arithmetic: OpenBLAS rounds the (n x 32) @ (32 x 3) heads GEMM
-# differently below about 12k rows (its small-matrix kernel).
+# samples (256 rays at 64 per ray), which render on the shared pool
+# (`spatial.pool_map`). The size is fixed, not a share of the CPU count, so
+# every machine does the same arithmetic: OpenBLAS rounds the
+# (n x 32) @ (32 x 3) heads GEMM differently below about 12k rows (its
+# small-matrix kernel).
 SHARD_SAMPLES = 16_384
-
-_pool: tuple[int, ThreadPoolExecutor] | None = None
-
-
-def _run(tasks: list) -> list:
-    """Run zero-argument callables and return their results in order, on
-    one shared pool of `usable_cpus()` threads, or on the calling thread
-    when there is one CPU or one task. A task must not submit to the pool
-    itself: once every thread waits on a nested task, nothing runs."""
-    global _pool
-    cpus = usable_cpus()
-    if cpus == 1 or len(tasks) == 1:
-        return [task() for task in tasks]
-    if _pool is None or _pool[0] != cpus:
-        if _pool is not None:
-            _pool[1].shutdown(wait=False)
-        _pool = (cpus, ThreadPoolExecutor(cpus, thread_name_prefix="geonlf"))
-    return list(_pool[1].map(lambda task: task(), tasks))
 
 
 @dataclass
@@ -340,10 +322,10 @@ def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
     block of the pose gradient. Returns (depth, intensity, drop_prob,
     tape).
 
-    The rays are cut into shards of SHARD_SAMPLES samples, which render on
-    the pool of `usable_cpus()` threads. Each ray is rendered within one
-    shard, and the shards do not depend on the CPU count, so neither do
-    the outputs, bit for bit.
+    The rays are cut into shards of SHARD_SAMPLES samples, which render as
+    tasks of `spatial.pool_map`, one thread per usable CPU. Each ray is
+    rendered within one shard, and the shards do not depend on the CPU
+    count, so neither do the outputs, bit for bit.
     """
     dtype = params.dtype
     origins = np.atleast_2d(np.asarray(origins, dtype=dtype))
@@ -378,7 +360,7 @@ def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
             sigma[r], delta[r], ts[r], s_vals[r], l_vals[r])
 
     shards = _shards(n, num_samples)
-    _run([partial(render, shard) for shard in shards])
+    list(pool_map([partial(render, shard) for shard in shards]))
     drop_prob = expit(drop_logit)
 
     tape = RenderTape(params, n, num_samples, ts, delta, sigma, s_vals,
@@ -391,7 +373,7 @@ def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
     """Reverse pass: accumulates into tape.params.grads, returns the pose
     gradient as a 6-vector (d rho, d phi).
 
-    Two stages on the pool of `render_rays`. Stage 1 runs per shard:
+    Two stages of `spatial.pool_map` tasks. Stage 1 runs per shard:
     compositing, the MLP's activation gradients and the encoder's d/dx.
     Stage 2 runs each whole-batch reduction once, as its own task, over
     the shard outputs stacked in ray order: the pose sums, the MLP weight
@@ -449,7 +431,7 @@ def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
         if field_grads:
             out["table_up"][rows] = table_up
 
-    _run([partial(stage1, shard) for shard in tape.shards])
+    list(pool_map([partial(stage1, shard) for shard in tape.shards]))
 
     pose_grad = np.zeros(6)
 
@@ -466,7 +448,7 @@ def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
         stage2 += table_scatters([s.enc_cache for s in tape.shards],
                                  out["table_up"], params.grads["planes"],
                                  params.grads["hash"], cfg)
-    _run(stage2)
+    list(pool_map(stage2))
     return pose_grad
 
 

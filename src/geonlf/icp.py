@@ -7,11 +7,13 @@ classical reference method; it is expected to fail on low-overlap pairs.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .cloud import PointCloud
 from .errors import DegenerateCorrespondences, EmptyCloud
-from .spatial import KdTree
+from .spatial import KdTree, pool_map
 
 
 def icp_pairwise(source: PointCloud, target: PointCloud,
@@ -60,12 +62,15 @@ def icp_odometry(clouds: list[PointCloud], init_relatives: list[np.ndarray] | No
 
     Frame i is registered against frame i-1; world poses accumulate from
     identity at frame 0. `init_relatives[i]` seeds the pairwise solve for
-    the (i, i-1) pair when provided.
+    the (i, i-1) pair when provided. The pairs are independent and run as
+    `pool_map` tasks; their transforms are chained in frame order, so the
+    poses do not depend on the CPU count.
     """
+    pairs = [partial(icp_pairwise, clouds[i], clouds[i - 1],
+                     max_iters=max_iters, tol=tol,
+                     init=None if init_relatives is None else init_relatives[i])
+             for i in range(1, len(clouds))]
     poses = [np.eye(4)]
-    for i in range(1, len(clouds)):
-        seed = None if init_relatives is None else init_relatives[i]
-        rel = icp_pairwise(clouds[i], clouds[i - 1], max_iters=max_iters,
-                           tol=tol, init=seed)
+    for rel in pool_map(pairs):
         poses.append(poses[-1] @ rel)
     return poses

@@ -29,7 +29,9 @@ point-to-point term is the one that recovers from it.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +39,8 @@ from .cloud import PointCloud
 from .errors import DegenerateNeighborhood, EmptyCloud, EmptyList, TooFewFrames
 from .geometry import Se3Param, so3_exp, so3_left_jacobian
 from .optim import Adam, exp_decay
-from .spatial import NORMAL_NEIGHBORS, KdTree, normals_at, voxel_downsample
+from .spatial import (NORMAL_NEIGHBORS, KdTree, normals_at, pool_map,
+                      voxel_downsample)
 
 
 @dataclass
@@ -265,25 +268,28 @@ def _edge_terms(p: _PosedFrame, q: _PosedFrame, idx_pq: np.ndarray,
 
 
 def _graph_correspondences(frames: list[_PosedFrame], graph: FrameGraph,
-                           trees: list[KdTree]) -> dict:
+                           trees: list[KdTree]) -> Iterator[dict]:
     """Nearest neighbors for both directions of every edge, with one kd-tree
     query per destination frame: the points of all its graph neighbors are
     stacked into one batch. Each neighbor's block is formed on its own, as
     a query for that edge alone would form it, so the indices are the same
-    as per-edge queries. Returns {(src, dst): indices into dst's cloud}.
+    as per-edge queries. The queries run as `pool_map` tasks in frame
+    order; yields each frame's {(src, dst): indices into dst's cloud} in
+    that order, as they land.
     """
     sources: dict[int, list[int]] = {}
     for i, j in graph.edges:
         sources.setdefault(j, []).append(i)
         sources.setdefault(i, []).append(j)
-    pairs = {}
-    for dst, srcs in sources.items():
+
+    def query(dst: int) -> dict:
+        srcs = sources[dst]
         blocks = [frames[dst].to_sensor(frames[s].world) for s in srcs]
         idx, _ = trees[dst].query_many(np.concatenate(blocks))
         bounds = np.cumsum([len(b) for b in blocks])[:-1]
-        for s, part in zip(srcs, np.split(idx, bounds)):
-            pairs[s, dst] = part
-    return pairs
+        return {(s, dst): part for s, part in zip(srcs, np.split(idx, bounds))}
+
+    return pool_map([partial(query, dst) for dst in sorted(sources)])
 
 
 def graph_loss(clouds: list[PointCloud], poses: list[Se3Param],
@@ -293,11 +299,14 @@ def graph_loss(clouds: list[PointCloud], poses: list[Se3Param],
 
     Normalized by the edge count; per-frame gradients are
     accumulated over incident edges in sorted edge order. Every edge gives
-    what a one-edge graph of its two frames gives, bit for bit; the
-    correspondences of all edges come from one pass
-    (`_graph_correspondences`). Clouds with normals on both sides use the
-    point-to-plane blend, any other pair point-to-point (see the module
-    docstring).
+    what a one-edge graph of its two frames gives, bit for bit. The
+    correspondences come from one query per frame, run on the shared pool
+    (`_graph_correspondences`); the edges are evaluated on the calling
+    thread as soon as both their frames' queries have landed, so the edge
+    math overlaps the later queries. Each query point is answered on its
+    own, so neither the loss nor the gradients depend on the CPU count.
+    Clouds with normals on both sides use the point-to-plane blend, any
+    other pair point-to-point (see the module docstring).
     Returns (loss, grads) with grads an (M, 6) array.
     """
     if not (len(clouds) == len(poses) == graph.num_frames):
@@ -308,13 +317,16 @@ def graph_loss(clouds: list[PointCloud], poses: list[Se3Param],
     if trees is None:
         trees = [KdTree(c.points) for c in clouds]
     frames = [_PosedFrame(c, p) for c, p in zip(clouds, poses)]
-    pairs = _graph_correspondences(frames, graph, trees)
+    landed = _graph_correspondences(frames, graph, trees)
+    pairs: dict = {}
     denom = float(len(graph.edges))
     grads = np.zeros((graph.num_frames, 6))
     total = 0.0
     for i, j in graph.edges:
-        loss, gi, gj = _edge_terms(frames[i], frames[j], pairs[i, j],
-                                   pairs[j, i], cfg, t)
+        while (i, j) not in pairs or (j, i) not in pairs:
+            pairs.update(next(landed))
+        loss, gi, gj = _edge_terms(frames[i], frames[j], pairs.pop((i, j)),
+                                   pairs.pop((j, i)), cfg, t)
         total += loss
         grads[i] += gi
         grads[j] += gj
@@ -354,13 +366,19 @@ class GeoSession:
     docstring); any other edge is point-to-point. Builds
     one kd-tree per frame, and then performs Adam steps on the pose
     parameters. Frame 0 is gauge-fixed (never updated).
+
+    Each frame's surface cloud is prepared as its own `pool_map` task, and
+    every step's correspondence queries run on the same pool (`graph_loss`);
+    both are computed frame by frame, so the clouds, normals and steps do
+    not depend on the CPU count.
     """
 
     def __init__(self, clouds: list[PointCloud], graph: FrameGraph,
                  cfg: RcdConfig):
         self.cfg = cfg
         self.graph = graph
-        self.clouds = [_surface_cloud(c, cfg.voxel_size) for c in clouds]
+        self.clouds = list(pool_map([partial(_surface_cloud, c, cfg.voxel_size)
+                                     for c in clouds]))
         self.trees = [KdTree(c.points) for c in self.clouds]
 
     def step(self, poses: list[Se3Param], t: float, lr_rot: float,

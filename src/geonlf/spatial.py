@@ -11,15 +11,25 @@ each cell's full box rather than shrinking it to its points. The scans are
 a tree was built on (off the overlap of two frames, or before alignment);
 there those cells prune better than scipy's default median splits. A
 `KdTree` result does not depend on the layout: the nearest index is unique
-unless two distances tie exactly, and ties are re-ranked. Every large query
-is split over the CPUs the process may run on (`query_workers`); each query
-point is answered on its own, so results do not depend on the thread count.
+unless two distances tie exactly, and ties are re-ranked.
+
+The module also owns the program's one thread pool (`pool_map`), one
+thread per CPU the process may run on. The field renders and
+back-propagates on it shard by shard; the geometric phase runs its
+per-frame correspondence queries, its surface clouds and the ICP pairs on
+it. A large query made outside the pool is split over the same CPUs
+(`query_workers`); one made on a pool thread stays on that thread. Each
+query point is answered on its own, so results do not depend on the
+thread count.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import warnings
+from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -53,11 +63,50 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.inside = True
+
+
+def _on_pool_thread() -> bool:
+    return getattr(_pool_thread, "inside", False)
+
+
+def pool_map(tasks: list[Callable]) -> Iterator:
+    """Run zero-argument callables and yield their results in task order.
+
+    Every task is submitted at once to one shared pool of `usable_cpus()`
+    threads, so the caller can use the first results while later tasks
+    run. The tasks run one by one on the calling thread instead, as their
+    results are pulled, when there is one CPU or at most one task, or when
+    the caller is itself a pool task: a nested map never waits on threads
+    that all wait on it.
+    """
+    global _pool
+    cpus = usable_cpus()
+    if cpus == 1 or len(tasks) <= 1 or _on_pool_thread():
+        return (task() for task in tasks)
+    with _pool_lock:
+        if _pool is None or _pool[0] != cpus:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (cpus, ThreadPoolExecutor(cpus, thread_name_prefix="geonlf",
+                                              initializer=_mark_pool_thread))
+        pool = _pool[1]
+    return pool.map(lambda task: task(), tasks)
+
+
 def query_workers(neighbours: int) -> int:
     """Threads for one batched kd-tree query returning `neighbours`
-    neighbours in all: one below SERIAL_NEIGHBOURS, else `usable_cpus()`,
-    the count of threads that `field.render_rays` renders on."""
-    return 1 if neighbours < SERIAL_NEIGHBOURS else usable_cpus()
+    neighbours in all: one below SERIAL_NEIGHBOURS or on a thread of
+    `pool_map`, which already keeps every CPU busy; else `usable_cpus()`."""
+    if neighbours < SERIAL_NEIGHBOURS or _on_pool_thread():
+        return 1
+    return usable_cpus()
 
 
 class KdTree:

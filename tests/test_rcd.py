@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,9 @@ from hypothesis import strategies as st
 from geonlf.cloud import PointCloud
 from geonlf.errors import (DegenerateCorrespondences, EmptyCloud, EmptyList,
                            TooFewFrames)
-from geonlf.geometry import (Se3Param, Trajectory, rotation_angle,
-                             se3_decoupled, so3_exp)
-from geonlf.icp import icp_pairwise
+from geonlf.geometry import (Se3Param, Trajectory, invert_rigid,
+                             rotation_angle, se3_decoupled, so3_exp)
+from geonlf.icp import icp_odometry, icp_pairwise
 from geonlf.rcd import (GeoSession, RcdConfig, build_graph,
                         correspondence_weights, geo_optimize, graph_loss,
                         temperature_at)
@@ -364,15 +366,22 @@ class TestGraphLoss:
                        RcdConfig(), 0.0)
 
 
-def _corridor_session():
-    """The 4-frame test corridor seen by a 16 x 120 scanner, voxel 0.02,
-    window 3: (GeoSession, ground-truth trajectory)."""
+def _corridor_scans():
+    """The 4-frame test corridor seen by a 16 x 120 scanner: (sensor-frame
+    clouds, ground-truth trajectory)."""
     scanner = ScannerConfig(beams=16, azimuth_steps=120, max_range=1.2,
                             drop_prob=0.02)
     scene = make_scene("corridor", 0)
     gt = make_trajectory("corridor", 4, 0)
     clouds = [unproject(lidar_scan(scene, gt.poses[i], scanner, seed=i)[0],
                         scanner) for i in range(4)]
+    return clouds, gt
+
+
+def _corridor_session():
+    """`_corridor_scans` with voxel 0.02 and window 3: (GeoSession,
+    ground-truth trajectory)."""
+    clouds, gt = _corridor_scans()
     return GeoSession(clouds, build_graph(4, 3), RcdConfig(voxel_size=0.02)), gt
 
 
@@ -406,6 +415,102 @@ class TestBatchedCorrespondences:
                                    trees=geo.trees)
         assert np.array_equal(loss, total / n)
         assert np.array_equal(batched, grads / n)
+
+
+class TestCpuCountInvariance:
+    """The geometric phase runs on the shared pool: surface clouds frame by
+    frame, correspondence queries frame by frame while the calling thread
+    evaluates edges, ICP pairs pair by pair. None of its outputs may depend
+    on the CPU count, bit for bit; the reference runs on one CPU, where
+    every task runs in order on the calling thread."""
+
+    CPUS = (1, 2, 3, 8)
+
+    @pytest.fixture(scope="class")
+    def scans(self):
+        clouds, gt = _corridor_scans()
+        return clouds, perturb_poses(gt, 3.0, 0.05, 2)
+
+    @pytest.fixture(autouse=True)
+    def frequent_switches(self):
+        """Frequent thread switches, so that tasks sharing state would
+        show."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        yield
+        sys.setswitchinterval(interval)
+
+    def _for_each_cpu_count(self, set_cpus, run):
+        set_cpus(1)
+        want = run()
+        for cpus in self.CPUS[1:]:
+            set_cpus(cpus)
+            yield cpus, want, run()
+
+    def test_session_clouds_and_normals(self, scans, set_cpus):
+        clouds, _ = scans
+
+        def run():
+            geo = GeoSession(clouds, build_graph(4, 3),
+                             RcdConfig(voxel_size=0.02))
+            return [(c.points, c.normals) for c in geo.clouds]
+
+        for cpus, want, got in self._for_each_cpu_count(set_cpus, run):
+            assert all(n is not None for _, n in want)
+            for (p, n), (p_ref, n_ref) in zip(got, want):
+                np.testing.assert_array_equal(p, p_ref, err_msg=f"{cpus} CPUs")
+                np.testing.assert_array_equal(n, n_ref, err_msg=f"{cpus} CPUs")
+
+    @pytest.mark.parametrize("normals", [True, False])
+    def test_graph_loss_and_gradients(self, scans, set_cpus, normals):
+        clouds, init = scans
+        geo = GeoSession(clouds, build_graph(4, 3), RcdConfig(voxel_size=0.02))
+        frames = (geo.clouds if normals
+                  else [PointCloud(c.points) for c in geo.clouds])
+        poses = [Se3Param.from_matrix(p) for p in init.poses]
+
+        def run():
+            return graph_loss(frames, poses, geo.graph, geo.cfg, 0.3,
+                              trees=geo.trees)
+
+        for cpus, want, got in self._for_each_cpu_count(set_cpus, run):
+            assert want[0] > 0.0 and np.abs(want[1]).max() > 0.0
+            assert got[0] == want[0], f"{cpus} CPUs"
+            np.testing.assert_array_equal(got[1], want[1],
+                                          err_msg=f"{cpus} CPUs")
+
+    def test_five_geo_steps(self, scans, set_cpus):
+        clouds, init = scans
+
+        def run():
+            losses = []
+            out = geo_optimize(clouds,
+                               [Se3Param.from_matrix(p) for p in init.poses],
+                               build_graph(4, 3), RcdConfig(voxel_size=0.02),
+                               5, 5e-3, 1e-3, loss_log=losses)
+            return np.array([np.concatenate([p.rho, p.phi]) for p in out]), losses
+
+        for cpus, want, got in self._for_each_cpu_count(set_cpus, run):
+            np.testing.assert_array_equal(got[0], want[0],
+                                          err_msg=f"{cpus} CPUs")
+            assert got[1] == want[1], f"{cpus} CPUs"
+
+    def test_icp_odometry_equals_serial_chain(self, scans, set_cpus):
+        clouds, init = scans
+        relatives = [np.eye(4)] + [invert_rigid(init.poses[i - 1])
+                                   @ init.poses[i] for i in range(1, 4)]
+        set_cpus(1)
+        chain = [np.eye(4)]
+        for i in range(1, 4):
+            chain.append(chain[-1] @ icp_pairwise(
+                clouds[i], clouds[i - 1], max_iters=5, init=relatives[i]))
+        for cpus in self.CPUS:
+            set_cpus(cpus)
+            got = icp_odometry(clouds, relatives, max_iters=5)
+            assert len(got) == 4
+            for pose, ref in zip(got, chain):
+                np.testing.assert_array_equal(pose, ref,
+                                              err_msg=f"{cpus} CPUs")
 
 
 class TestGroundTruthStationary:

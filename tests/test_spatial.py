@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+import threading
+import time
+from functools import partial
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geonlf import spatial
 from geonlf.cloud import PointCloud
 from geonlf.errors import DegenerateNeighborhood, EmptyCloud, NonPositiveVoxel
-from geonlf.spatial import (KdTree, estimate_normals, normals_at,
+from geonlf.spatial import (SERIAL_NEIGHBOURS, KdTree, estimate_normals,
+                            normals_at, pool_map, query_workers,
                             voxel_downsample)
 from oracles import linear_scan_nearest, unique_voxel_downsample, voxel_groups
 
@@ -288,3 +293,54 @@ class TestNormalsAt:
     def test_too_small_cloud(self):
         with pytest.raises(EmptyCloud):
             normals_at(PointCloud(np.zeros((12, 3))), PointCloud(np.zeros((1, 3))))
+
+
+def _tagged(value, delay=0.0):
+    """`value` and the thread that returned it, after `delay` seconds."""
+    time.sleep(delay)
+    return value, threading.get_ident()
+
+
+class TestPoolMap:
+    def test_results_in_task_order_from_pool_threads(self, set_cpus):
+        set_cpus(3)
+        # The first tasks finish last.
+        got = list(pool_map([partial(_tagged, k, 0.01 * (6 - k))
+                             for k in range(6)]))
+        assert [value for value, _ in got] == list(range(6))
+        assert threading.get_ident() not in {thread for _, thread in got}
+
+    def test_one_cpu_runs_on_the_calling_thread(self, set_cpus):
+        set_cpus(1)
+        got = list(pool_map([partial(_tagged, k) for k in range(4)]))
+        assert got == [(k, threading.get_ident()) for k in range(4)]
+
+    def test_nested_map_runs_inline_in_order(self, set_cpus):
+        # Four outer tasks on two threads, each mapping three tasks of its
+        # own: without the guard both threads would wait on nested tasks
+        # that no thread is free to run.
+        set_cpus(2)
+
+        def outer(i):
+            inner = list(pool_map([partial(_tagged, (i, j), 0.001 * (3 - j))
+                                   for j in range(3)]))
+            return inner, threading.get_ident()
+
+        got = []
+        caller = threading.Thread(
+            target=lambda: got.extend(pool_map([partial(outer, i)
+                                                for i in range(4)])),
+            daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive(), "nested pool_map deadlocked"
+        assert len(got) == 4
+        for i, (inner, thread) in enumerate(got):
+            assert inner == [((i, j), thread) for j in range(3)]
+
+    def test_query_on_a_pool_thread_uses_one_worker(self, set_cpus):
+        set_cpus(2)
+        many = SERIAL_NEIGHBOURS
+        assert query_workers(many) == 2
+        workers = list(pool_map([partial(query_workers, many)] * 2))
+        assert workers == [1, 1]

@@ -1,4 +1,3 @@
-import os
 import sys
 import tracemalloc
 
@@ -195,11 +194,6 @@ def _textured_params(dtype=np.float32, seed=3, hidden_width=16):
     return params
 
 
-def _set_cpus(monkeypatch, cpus):
-    """Make `spatial.usable_cpus` report `cpus` CPUs, as a `taskset` would."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-
 class TestShardInvariance:
     """Training renders on every CPU in shards of a fixed size; the loss,
     the Chamfer and normal terms, the pose gradient and every field
@@ -209,7 +203,7 @@ class TestShardInvariance:
     CPUS = (1, 2, 3, 8)
 
     @pytest.mark.parametrize("rays", [100, 700])
-    def test_steps_equal_for_any_cpu_count(self, monkeypatch, rays):
+    def test_steps_equal_for_any_cpu_count(self, monkeypatch, set_cpus, rays):
         # 100 rays are less than one shard; 700 are two shards and a part.
         assert rays * 64 < SHARD_SAMPLES or (rays * 64) % SHARD_SAMPLES
         images, gt, _ = make_dataset(frames=3)
@@ -235,14 +229,14 @@ class TestShardInvariance:
 
         # The reference renders the batch in one piece, so that sums taken
         # shard by shard and then added would show.
-        _set_cpus(monkeypatch, 1)
+        set_cpus(1)
         with monkeypatch.context() as m:
             m.setattr(field, "SHARD_SAMPLES", 10 ** 9)
             want = steps()
         assert all(np.abs(g).max() > 0 for g in want[-1].values())
         assert want[1]["cd"] > 0 and want[1]["normal"] > 0
         for cpus in self.CPUS:
-            _set_cpus(monkeypatch, cpus)
+            set_cpus(cpus)
             got = steps()
             assert got[:2] == want[:2]
             np.testing.assert_array_equal(got[2], want[2])
@@ -252,13 +246,13 @@ class TestShardInvariance:
                 np.testing.assert_array_equal(got[-1][name], want[-1][name],
                                               err_msg=f"{name}, {cpus} CPUs")
 
-    def test_train_equal_for_one_and_two_cpus(self, monkeypatch):
+    def test_train_equal_for_one_and_two_cpus(self, set_cpus):
         images, _, init = make_dataset(frames=4)
         # 1200 rays of 32 samples are two shards and a part.
         cfg = small_cfg(iterations=8, rays_per_batch=1200, cd_every=3)
 
         def run(cpus):
-            _set_cpus(monkeypatch, cpus)
+            set_cpus(cpus)
             return train(images, init, SMALL_SCANNER, cfg, enc_cfg=TINY_ENC)
 
         (p1, est1, logs1), (p2, est2, logs2) = run(1), run(2)
@@ -374,7 +368,7 @@ class TestRenderFullImage:
         np.testing.assert_array_equal(
             out.intensity, np.where(valid, intens, 0.0).reshape(shape))
 
-    def test_same_image_for_any_worker_count(self, monkeypatch):
+    def test_same_image_for_any_worker_count(self, set_cpus):
         # The default hidden width and samples per ray, on an image of two
         # chunks: a chunk or shard of fewer than ~12k samples would put the
         # heads GEMM on OpenBLAS's small-matrix kernel, which rounds
@@ -402,7 +396,7 @@ class TestRenderFullImage:
         sys.setswitchinterval(1e-5)
         try:
             for workers in (1, 2, 3, 8):
-                _set_cpus(monkeypatch, workers)
+                set_cpus(workers)
                 out = render_full_image(params, self.POSE, SMALL_SCANNER,
                                         cfg)
                 for got, want in zip((out.depth, out.intensity, out.valid),
