@@ -126,14 +126,22 @@ class RunConfig:
 
     # -- typed views -------------------------------------------------------
 
+    def _typed(self, cls, section: str, **extra):
+        """`cls` built from one section; a value its checks reject is a
+        ConfigError."""
+        try:
+            return cls(**extra, **self.section(section))
+        except ValueError as exc:
+            raise ConfigError(f"bad {section} config: {exc}") from exc
+
     def scanner(self) -> ScannerConfig:
-        return ScannerConfig(**self.section("scanner"))
+        return self._typed(ScannerConfig, "scanner")
 
     def rcd(self) -> RcdConfig:
-        return RcdConfig(**self.section("rcd"))
+        return self._typed(RcdConfig, "rcd")
 
     def encoding(self) -> EncodingConfig:
-        return EncodingConfig(**self.section("field"))
+        return self._typed(EncodingConfig, "field")
 
     def train(self) -> TrainConfig:
-        return TrainConfig(rcd=self.rcd(), **self.section("train"))
+        return self._typed(TrainConfig, "train", rcd=self.rcd())

@@ -365,7 +365,8 @@ class GeoSession:
     aligned, and the point-to-point one far from alignment (see the module
     docstring); any other edge is point-to-point. Builds
     one kd-tree per frame, and then performs Adam steps on the pose
-    parameters. Frame 0 is gauge-fixed (never updated).
+    parameters with its own optimizer state, kept across steps. Frame 0
+    is gauge-fixed (never updated).
 
     Each frame's surface cloud is prepared as its own `pool_map` task, and
     every step's correspondence queries run on the same pool (`graph_loss`);
@@ -380,14 +381,15 @@ class GeoSession:
         self.clouds = list(pool_map([partial(_surface_cloud, c, cfg.voxel_size)
                                      for c in clouds]))
         self.trees = [KdTree(c.points) for c in self.clouds]
+        self.adam = Adam()
 
     def step(self, poses: list[Se3Param], t: float, lr_rot: float,
-             lr_trans: float, adam: Adam) -> float:
+             lr_trans: float) -> float:
         loss, grads = graph_loss(self.clouds, poses, self.graph, self.cfg, t,
                                  trees=self.trees)
         for f, pose in enumerate(poses[1:], start=1):
-            adam.step(f"pose{f}.rho", pose.rho, grads[f, :3], lr=lr_trans)
-            adam.step(f"pose{f}.phi", pose.phi, grads[f, 3:], lr=lr_rot)
+            self.adam.step(f"pose{f}.rho", pose.rho, grads[f, :3], lr=lr_trans)
+            self.adam.step(f"pose{f}.phi", pose.phi, grads[f, 3:], lr=lr_rot)
         return loss
 
 
@@ -408,15 +410,13 @@ def geo_optimize(clouds: list[PointCloud], poses: list[Se3Param],
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     session = GeoSession(clouds, graph, cfg)
-    adam = Adam()
     poses = [p.copy() for p in poses]
     for step in range(steps):
         progress = step / max(steps - 1, 1)
         t = temperature_at(progress, cfg)
         loss = session.step(poses, t,
                             exp_decay(lr_rot, lr_rot / 100.0, progress),
-                            exp_decay(lr_trans, lr_trans / 10.0, progress),
-                            adam)
+                            exp_decay(lr_trans, lr_trans / 10.0, progress))
         if loss_log is not None:
             loss_log.append(loss)
     return poses

@@ -345,8 +345,8 @@ def lidar_scan(scene: Scene, pose: np.ndarray, cfg: ScannerConfig,
 
     Depth is the metric hit distance; intensity is reflectance times the
     cosine of incidence; the drop mask combines misses with Bernoulli drops.
-    The returned point cloud is the unprojection of valid pixels in the
-    sensor frame.
+    The returned point cloud is `unproject` of the range image: the valid
+    pixels in the sensor frame.
     """
     pose = np.asarray(pose, dtype=np.float64)
     h, w = cfg.beams, cfg.azimuth_steps
@@ -367,9 +367,7 @@ def lidar_scan(scene: Scene, pose: np.ndarray, cfg: ScannerConfig,
 
     rimg = RangeImage(depth.reshape(h, w), intensity.reshape(h, w),
                       valid.reshape(h, w))
-    pts = d_flat[valid] * t[valid][:, None]
-    cloud = PointCloud(pts, intensity[valid])
-    return rimg, cloud
+    return rimg, unproject(rimg, cfg)
 
 
 def unproject(rimg: RangeImage, cfg: ScannerConfig) -> PointCloud:

@@ -17,10 +17,9 @@ The module also owns the program's one thread pool (`pool_map`), one
 thread per CPU the process may run on. The field renders and
 back-propagates on it shard by shard; the geometric phase runs its
 per-frame correspondence queries, its surface clouds and the ICP pairs on
-it. A large query made outside the pool is split over the same CPUs
-(`query_workers`); one made on a pool thread stays on that thread. Each
-query point is answered on its own, so results do not depend on the
-thread count.
+it. It is the only parallelism: every kd-tree query runs on the thread
+that makes it, and each query point is answered on its own, so results do
+not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -37,18 +36,6 @@ from scipy.spatial import cKDTree
 from .cloud import PointCloud
 from .errors import DegenerateNeighborhood, EmptyCloud, NonPositiveVoxel
 
-
-# A batched query that asks for fewer neighbours than this in all
-# (queries x k) runs on one thread: scipy starts its threads on every call,
-# and below this size that costs more than the split saves. Measured on a
-# 2-CPU host (median of 60 interleaved calls, corridor scans of the default
-# scanner, seed 5, two runs): k = 2 from a 2,048-point `KdTree` took 1.2-1.3 /
-# 1.2 ms for 1,024 queries on 1 / 2 threads, 2.0-2.7 / 1.6-2.2 ms for
-# 2,048 and 5.0-5.7 / 3.6-4.0 ms for 4,096; k = 12 from a full scan took
-# 0.7-0.8 / 0.8 ms for 256 queries, 1.0-1.2 / 1.0-1.1 ms for 384 and
-# 1.3-1.6 / 1.1-1.4 ms for 512. A symmetric Chamfer distance between two
-# 2,048-point clouds, with both builds, took 9.1 / 6.7 ms (median of 100).
-SERIAL_NEIGHBOURS = 4096
 
 # Neighbours in the PCA of every normal estimate.
 NORMAL_NEIGHBORS = 12
@@ -100,15 +87,6 @@ def pool_map(tasks: list[Callable]) -> Iterator:
     return pool.map(lambda task: task(), tasks)
 
 
-def query_workers(neighbours: int) -> int:
-    """Threads for one batched kd-tree query returning `neighbours`
-    neighbours in all: one below SERIAL_NEIGHBOURS or on a thread of
-    `pool_map`, which already keeps every CPU busy; else `usable_cpus()`."""
-    if neighbours < SERIAL_NEIGHBOURS or _on_pool_thread():
-        return 1
-    return usable_cpus()
-
-
 class KdTree:
     """Exact nearest-neighbor index over a point cloud.
 
@@ -148,8 +126,7 @@ class KdTree:
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         k = min(2, len(self))
-        workers = query_workers(len(queries) * k)
-        dist, idx = self._tree.query(queries, k=k, workers=workers)
+        dist, idx = self._tree.query(queries, k=k)
         if k == 1:
             return idx.reshape(-1).astype(np.int64), dist.reshape(-1)
         best = idx[:, 0].astype(np.int64)
@@ -160,7 +137,6 @@ class KdTree:
             # distance, keeping the lowest index among the nearest.
             radii = dist[tied, 0] * (1.0 + 1e-12) + 1e-300
             balls = self._tree.query_ball_point(queries[tied], radii,
-                                                workers=workers,
                                                 return_sorted=False)
             sizes = np.fromiter(map(len, balls), np.int64, len(balls))
             starts = np.cumsum(sizes) - sizes
@@ -205,11 +181,24 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     return PointCloud(centroids, intensity)
 
 
-def _pca_normals(neigh: np.ndarray):
-    """Smallest-eigenvalue eigenvectors of k-NN neighborhoods (N, k, 3),
-    and the mask of neighborhoods with covariance rank < 2."""
+def _pca_normals(cloud: PointCloud, sites: np.ndarray):
+    """Unoriented unit normals at the points `sites` (N, 3): the
+    smallest-eigenvalue eigenvectors of the covariance of their
+    NORMAL_NEIGHBORS nearest points in `cloud`, and the mask of sites whose
+    neighbourhood covariance has rank < 2."""
+    k = NORMAL_NEIGHBORS
+    if len(cloud) <= k:
+        raise EmptyCloud(f"need more than {k} points, got {len(cloud)}")
+    # Leaf size 16 and scipy's default layout, unlike KdTree: the order of
+    # equidistant neighbours, and which one a k-NN query returns when the
+    # k-th and (k+1)-th tie, depend on the tree's layout, and the PCA sums
+    # follow that order. KdTree's layout reorders 3,882 of 2,263,776
+    # neighbour slots of the normal queries on the corridor and
+    # low-overlap scans of seed 3 and changes 162 of 188,648 normals.
+    _, nn_idx = cKDTree(cloud.points, leafsize=16).query(sites, k=k)
+    neigh = cloud.points[nn_idx]
     centered = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / neigh.shape[1]
+    cov = np.einsum("nki,nkj->nij", centered, centered) / k
     eigval, eigvec = np.linalg.eigh(cov)               # ascending eigenvalues
     degenerate = eigval[:, 1] <= np.maximum(1e-12 * eigval[:, 2], 1e-18)
     if degenerate.all():
@@ -235,20 +224,7 @@ def estimate_normals(cloud: PointCloud) -> PointCloud:
     covariance has rank < 2 get a +z placeholder and a warning; if every
     neighborhood is degenerate the call raises DegenerateNeighborhood.
     """
-    k = NORMAL_NEIGHBORS
-    if len(cloud) <= k:
-        raise EmptyCloud(f"need more than {k} points, got {len(cloud)}")
-
-    # Leaf size 16 and scipy's default layout, unlike KdTree: the order of
-    # equidistant neighbours, and which one a k-NN query returns when the
-    # k-th and (k+1)-th tie, depend on the tree's layout, and the PCA sums
-    # follow that order. KdTree's layout reorders 3,882 of 2,263,776
-    # neighbour slots of the normal queries on the corridor and
-    # low-overlap scans of seed 3 and changes 162 of 188,648 normals.
-    tree = cKDTree(cloud.points, leafsize=16)
-    _, nn_idx = tree.query(cloud.points, k=k,
-                           workers=query_workers(len(cloud) * k))
-    normals, degenerate = _pca_normals(cloud.points[nn_idx])
+    normals, degenerate = _pca_normals(cloud, cloud.points)
     if degenerate.any():
         warnings.warn(f"{int(degenerate.sum())} degenerate normal neighborhoods; "
                       "using +z placeholder", RuntimeWarning)
@@ -267,12 +243,7 @@ def normals_at(cloud: PointCloud, sites: PointCloud) -> PointCloud:
     the origin. Sites whose neighbors are collinear have no normal and are
     left out; if none has one the call raises DegenerateNeighborhood.
     """
-    k = NORMAL_NEIGHBORS
-    if len(cloud) <= k:
-        raise EmptyCloud(f"need more than {k} points, got {len(cloud)}")
-    _, nn_idx = cKDTree(cloud.points, leafsize=16).query(
-        sites.points, k=k, workers=query_workers(len(sites) * k))
-    normals, degenerate = _pca_normals(cloud.points[nn_idx])
+    normals, degenerate = _pca_normals(cloud, sites.points)
     kept = sites.subset(~degenerate)
     return PointCloud(kept.points, kept.intensity,
                       _orient(normals[~degenerate], kept.points))

@@ -76,6 +76,9 @@ class TrainConfig:
             raise ValueError("need 0 <= c2f_start < c2f_end <= 1")
         if not 0.0 < self.w0_start <= 1.0:
             raise ValueError("w0_start must be in (0, 1]")
+        for name in ("m1", "samples_per_ray"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 # Decay of the per-frame loss moving average in `FrameLossTracker`.
@@ -313,11 +316,15 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
 
     `init_poses` is a Trajectory or a list of Se3Param. Frame 0 is the
     gauge anchor and is never updated. Scene coordinates must already live
-    in the unit cube.
+    in the unit cube. Every range image must have the same shape, since
+    they share one set of pixel directions.
     """
     m = len(images)
     if m < 3:
         raise TooFewFrames(f"need at least 3 frames, got {m}")
+    shapes = {img.shape for img in images}
+    if len(shapes) > 1:
+        raise ShapeMismatch(f"range images differ in shape: {sorted(shapes)}")
     if isinstance(init_poses, Trajectory):
         frame_ids = list(init_poses.frame_ids)
         poses = [Se3Param.from_matrix(p) for p in init_poses.poses]
@@ -338,7 +345,6 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
                       cfg.rcd) if cfg.use_geo else None)
     adam_field = Adam()
     adam_pose = Adam()
-    adam_geo = Adam()
     tracker = FrameLossTracker(m)
     outliers: set[int] = set()
     top_k = min(cfg.top_k, m - 1)
@@ -390,8 +396,7 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
                 m2 = alternation_ratio(progress, cfg.m1, cfg.alt_ratio_start,
                                        cfg.alt_ratio_end)
                 for _ in range(m2):
-                    geo_loss = geo.step(poses, t_temp, lr_rot, lr_trans,
-                                        adam_geo)
+                    geo_loss = geo.step(poses, t_temp, lr_rot, lr_trans)
                     _check_finite(geo_loss, it, -1, {"geo": geo_loss},
                                   params, poses)
                     logs.append(loss_row(it, "geo", geo_loss, alpha=alpha,

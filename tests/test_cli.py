@@ -218,6 +218,17 @@ class TestErrors:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_bad_config_value_exit_1(self, dataset, tmp_path, capsys):
+        # A value that parses but that RcdConfig rejects is reported as
+        # an error line, not a traceback.
+        bad = tmp_path / "zero_voxel.cfg"
+        bad.write_text("rcd.voxel_size = 0\n")
+        rc = main(["register", str(dataset), "--config", str(bad),
+                   "--out", str(tmp_path / "reg")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "voxel_size" in err
+
     def test_unknown_preset_exit_1(self, tmp_path):
         rc = main(["gen", "--preset", "corridor", "--frames", "3",
                    "--out", str(tmp_path / "y")])

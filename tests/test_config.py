@@ -62,6 +62,17 @@ class TestRunConfig:
         assert train.rcd.t0 == 0.25
         assert cfg.encoding().levels == 2
 
+    @pytest.mark.parametrize("key, view", [
+        ("train.m1", "train"), ("train.samples_per_ray", "train"),
+        ("rcd.voxel_size", "rcd"), ("scanner.beams", "scanner"),
+        ("field.levels", "encoding")])
+    def test_typed_view_rejects_zero(self, key, view):
+        # Zero parses; the section's own check rejects it when the typed
+        # view is built, as a ConfigError rather than a crash later on.
+        cfg = RunConfig.parse(f"{key} = 0\n")
+        with pytest.raises(ConfigError, match=key.split(".")[1]):
+            getattr(cfg, view)()
+
     def test_constructor_rejects_unknown(self):
         with pytest.raises(ConfigError):
             RunConfig({"nope.nope": 1})

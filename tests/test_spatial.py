@@ -7,11 +7,9 @@ from functools import partial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geonlf import spatial
 from geonlf.cloud import PointCloud
 from geonlf.errors import DegenerateNeighborhood, EmptyCloud, NonPositiveVoxel
-from geonlf.spatial import (SERIAL_NEIGHBOURS, KdTree, estimate_normals,
-                            normals_at, pool_map, query_workers,
+from geonlf.spatial import (KdTree, estimate_normals, normals_at, pool_map,
                             voxel_downsample)
 from oracles import linear_scan_nearest, unique_voxel_downsample, voxel_groups
 
@@ -81,9 +79,10 @@ class TestKdTree:
 
     @pytest.mark.parametrize("kind", ["lattice", "random", "coplanar",
                                       "collinear", "duplicates", "far"])
-    def test_tie_rule_for_any_worker_count(self, kind, monkeypatch):
-        # Large enough for a multi-level tree of 64-point leaves, with the
-        # batch split over two threads. On the lattice, half-integer
+    def test_tie_rule_for_any_worker_count(self, kind):
+        # Large enough for a multi-level tree of 64-point leaves. Scipy's
+        # answers do not depend on how many threads split the batch, and
+        # the library always queries on one. On the lattice, half-integer
         # coordinates make 2-, 4- and 8-way ties; the point order is
         # shuffled so the lowest index is not the first one found. The
         # other clouds make the skinny and empty cells of sliding-midpoint
@@ -129,16 +128,9 @@ class TestKdTree:
             queries[np.arange(2000), rng.integers(0, 3, size=2000)] = np.where(
                 rng.random(2000) < 0.5, -beyond, 12.0 + beyond)
         ref = [linear_scan_nearest(pts, q) for q in queries]
-        results = []
-        for workers in (1, 2):
-            monkeypatch.setattr(spatial, "query_workers",
-                                lambda neighbours: workers)
-            idx, dist = KdTree(pts).query_many(queries)
-            np.testing.assert_array_equal(idx, [i for i, _ in ref])
-            np.testing.assert_allclose(dist, [d for _, d in ref], atol=1e-12)
-            results.append((idx, dist))
-        np.testing.assert_array_equal(results[0][0], results[1][0])
-        np.testing.assert_array_equal(results[0][1], results[1][1])
+        idx, dist = KdTree(pts).query_many(queries)
+        np.testing.assert_array_equal(idx, [i for i, _ in ref])
+        np.testing.assert_allclose(dist, [d for _, d in ref], atol=1e-12)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyCloud):
@@ -337,10 +329,3 @@ class TestPoolMap:
         assert len(got) == 4
         for i, (inner, thread) in enumerate(got):
             assert inner == [((i, j), thread) for j in range(3)]
-
-    def test_query_on_a_pool_thread_uses_one_worker(self, set_cpus):
-        set_cpus(2)
-        many = SERIAL_NEIGHBOURS
-        assert query_workers(many) == 2
-        workers = list(pool_map([partial(query_workers, many)] * 2))
-        assert workers == [1, 1]

@@ -580,6 +580,20 @@ class TestTrainLoop:
             train(images[:2], Trajectory(gt.frame_ids[:2], gt.poses[:2]),
                   SMALL_SCANNER, small_cfg())
 
+    @pytest.mark.parametrize("width", [40, 56])
+    def test_range_images_of_another_shape_rejected(self, width):
+        # All frames share the pixel directions of the first frame: a
+        # narrower frame would be indexed past its end, a wider one trained
+        # on the wrong pixels.
+        scanner = ScannerConfig(beams=8, azimuth_steps=48, max_range=1.2)
+        images, gt, init = make_dataset(frames=4, scanner=scanner)
+        other = ScannerConfig(beams=8, azimuth_steps=width, max_range=1.2)
+        images[2] = lidar_scan(make_scene("corridor", 0), gt.poses[2], other,
+                               seed=2)[0]
+        with pytest.raises(ShapeMismatch, match=f"\\(8, {width}\\)"):
+            train(images, init, scanner, small_cfg(iterations=8),
+                  enc_cfg=TINY_ENC)
+
     def test_smoke_run_structure(self):
         images, gt, init = make_dataset(frames=4)
         cfg = small_cfg(iterations=24, cd_every=8)
