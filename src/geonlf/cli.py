@@ -38,10 +38,12 @@ def holdout_ids(frames: int, stride: int) -> list[int]:
 
 
 def _load_config(args) -> RunConfig:
+    """--config, else the dataset's gen.cfg (`data`, or eval's --gt-dir),
+    else the defaults."""
     if getattr(args, "config", None):
         cfg = RunConfig.from_file(args.config)
     else:
-        data_dir = getattr(args, "data", None)
+        data_dir = getattr(args, "data", None) or getattr(args, "gt_dir", None)
         gen_cfg = Path(data_dir) / "gen.cfg" if data_dir else None
         cfg = RunConfig.from_file(gen_cfg) if gen_cfg and gen_cfg.exists() \
             else RunConfig()

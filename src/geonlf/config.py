@@ -48,35 +48,28 @@ def _schema() -> dict[str, object]:
 class RunConfig:
     """Effective configuration: schema defaults plus parsed overrides."""
 
-    def __init__(self, overrides: dict[str, object] | None = None):
+    def __init__(self):
         self.values = _schema()
-        for key, val in (overrides or {}).items():
-            if key not in self.values:
-                raise ConfigError(f"unknown config key {key!r}")
-            self.values[key] = self._coerce(key, val, line=None)
 
     # -- parsing -----------------------------------------------------------
 
-    def _coerce(self, key: str, raw, line):
+    def _coerce(self, key: str, raw: str, line: int):
         default = _schema()[key]
         try:
             if isinstance(default, bool):
-                if isinstance(raw, bool):
-                    return raw
-                token = str(raw).strip().lower()
+                token = raw.strip().lower()
                 if token in ("true", "1", "yes"):
                     return True
                 if token in ("false", "0", "no"):
                     return False
                 raise ValueError(f"not a boolean: {raw!r}")
             if isinstance(default, int):
-                return int(str(raw).strip())
+                return int(raw.strip())
             if isinstance(default, float):
-                return float(str(raw).strip())
-            return str(raw).strip()
+                return float(raw.strip())
+            return raw.strip()
         except ValueError as exc:
-            where = f" (line {line})" if line else ""
-            raise ConfigError(f"bad value for {key}{where}: {exc}",
+            raise ConfigError(f"bad value for {key} (line {line}): {exc}",
                               line=line) from exc
 
     @classmethod

@@ -135,28 +135,6 @@ class FieldParams:
         return out
 
 
-def sensor_directions(h: int, w: int, fov_up_deg: float,
-                      fov_down_deg: float) -> np.ndarray:
-    """(H, W, 3) unit directions at pixel centers in the sensor frame.
-
-    Azimuth sweeps (-pi, pi] across columns; elevation runs from fov_up at
-    the top row down to fov_down.
-    """
-    cols = (np.arange(w) + 0.5) / w
-    rows = (np.arange(h) + 0.5) / h
-    theta = 2.0 * np.pi * cols - np.pi
-    fov_up = np.deg2rad(fov_up_deg)
-    fov_down = np.deg2rad(fov_down_deg)
-    phi = fov_up - rows * (fov_up - fov_down)
-    cp, sp = np.cos(phi), np.sin(phi)
-    ct, st = np.cos(theta), np.sin(theta)
-    dirs = np.empty((h, w, 3))
-    dirs[:, :, 0] = cp[:, None] * ct[None, :]
-    dirs[:, :, 1] = cp[:, None] * st[None, :]
-    dirs[:, :, 2] = sp[:, None]
-    return dirs
-
-
 def _transmittance(tau: np.ndarray) -> np.ndarray:
     """T_i = exp(-sum_{k<i} tau_k), the light left before each sample."""
     csum = np.cumsum(tau, axis=1)
@@ -452,12 +430,12 @@ def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
     return pose_grad
 
 
-def pose_rays(pose: Se3Param, d_sensor: np.ndarray):
+def pose_rays(pose: Se3Param, directions: np.ndarray):
     """World origins/directions for sensor-frame pixel directions.
 
-    d_sensor: (n, 3). Returns (origins (n, 3), dirs (n, 3)).
+    directions: (n, 3). Returns (origins (n, 3), dirs (n, 3)).
     """
     rot = so3_exp(pose.phi)
-    dirs = d_sensor @ rot.T
+    dirs = directions @ rot.T
     origins = np.broadcast_to(pose.rho, dirs.shape).copy()
     return origins, dirs

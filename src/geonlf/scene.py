@@ -7,19 +7,23 @@ answers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .cloud import PointCloud, RangeImage
-from .errors import UnknownPreset
-from .field import sensor_directions
+from .errors import ShapeMismatch, UnknownPreset
 from .geometry import Trajectory, so3_exp
 
 _EPS = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScannerConfig:
+    """The scanner, and with it the pixel grid of every range image: one
+    row per beam, one column per azimuth step. Frozen, so that the cached
+    `directions` always match the fields."""
+
     beams: int = 32
     azimuth_steps: int = 360
     fov_up_deg: float = 10.0
@@ -32,6 +36,36 @@ class ScannerConfig:
             raise ValueError("scanner needs at least 2 beams and 2 azimuth steps")
         if self.fov_up_deg <= self.fov_down_deg:
             raise ValueError("fov_up_deg must exceed fov_down_deg")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(rows, columns) of the scanner's range images."""
+        return self.beams, self.azimuth_steps
+
+    @cached_property
+    def directions(self) -> np.ndarray:
+        """Read-only (beams * azimuth_steps, 3) unit directions at pixel
+        centers in the sensor frame, row-major.
+
+        Azimuth sweeps (-pi, pi] across columns; elevation runs from fov_up
+        at the top row down to fov_down.
+        """
+        h, w = self.shape
+        cols = (np.arange(w) + 0.5) / w
+        rows = (np.arange(h) + 0.5) / h
+        theta = 2.0 * np.pi * cols - np.pi
+        fov_up = np.deg2rad(self.fov_up_deg)
+        fov_down = np.deg2rad(self.fov_down_deg)
+        phi = fov_up - rows * (fov_up - fov_down)
+        cp, sp = np.cos(phi), np.sin(phi)
+        ct, st = np.cos(theta), np.sin(theta)
+        dirs = np.empty((h, w, 3))
+        dirs[:, :, 0] = cp[:, None] * ct[None, :]
+        dirs[:, :, 1] = cp[:, None] * st[None, :]
+        dirs[:, :, 2] = sp[:, None]
+        dirs = dirs.reshape(-1, 3)
+        dirs.flags.writeable = False
+        return dirs
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +383,8 @@ def lidar_scan(scene: Scene, pose: np.ndarray, cfg: ScannerConfig,
     pixels in the sensor frame.
     """
     pose = np.asarray(pose, dtype=np.float64)
-    h, w = cfg.beams, cfg.azimuth_steps
-    d_sensor = sensor_directions(h, w, cfg.fov_up_deg, cfg.fov_down_deg)
-    d_flat = d_sensor.reshape(-1, 3)
-    dirs = d_flat @ pose[:3, :3].T
+    h, w = cfg.shape
+    dirs = cfg.directions @ pose[:3, :3].T
     origins = np.broadcast_to(pose[:3, 3], dirs.shape)
 
     t, normals, refl = scene.cast(origins, dirs)
@@ -371,11 +403,13 @@ def lidar_scan(scene: Scene, pose: np.ndarray, cfg: ScannerConfig,
 
 
 def unproject(rimg: RangeImage, cfg: ScannerConfig) -> PointCloud:
-    """Sensor-frame points for every valid pixel, row-major order."""
-    h, w = rimg.shape
-    d_sensor = sensor_directions(h, w, cfg.fov_up_deg, cfg.fov_down_deg)
+    """Sensor-frame points for every valid pixel, row-major order. The
+    image must have the scanner's shape."""
+    if rimg.shape != cfg.shape:
+        raise ShapeMismatch(f"range image of shape {rimg.shape} does not "
+                            f"match the scanner's {cfg.shape}")
     mask = rimg.valid.reshape(-1)
-    pts = d_sensor.reshape(-1, 3)[mask] * rimg.depth.reshape(-1)[mask][:, None]
+    pts = cfg.directions[mask] * rimg.depth.reshape(-1)[mask][:, None]
     intensity = rimg.intensity.reshape(-1)[mask]
     return PointCloud(pts, intensity)
 

@@ -17,9 +17,8 @@ import numpy as np
 from .cloud import PointCloud, RangeImage
 from .encoding import EncodingConfig
 from .errors import (DegenerateNeighborhood, EmptyBatch, EmptyCloud,
-                     NonFiniteLoss, ShapeMismatch, TooFewFrames)
-from .field import (PARAM_NAMES, FieldParams, backward, pose_rays, render_rays,
-                    sensor_directions)
+                     FrameMismatch, NonFiniteLoss, ShapeMismatch, TooFewFrames)
+from .field import PARAM_NAMES, FieldParams, backward, pose_rays, render_rays
 from .formats import loss_row
 from .geometry import Se3Param, Trajectory, se3_decoupled
 from .optim import Adam, exp_decay
@@ -244,28 +243,34 @@ def _check_finite(value: float, iteration: int, frame: int, terms: dict,
         iteration=iteration, frame=frame, terms=terms, culprit=culprit)
 
 
-def _flat_target(img: RangeImage):
-    """Per-pixel (depth, intensity, drop target, valid), flattened."""
+def _flat_target(img: RangeImage, scanner: ScannerConfig):
+    """Per-pixel (depth, intensity, drop target, valid), flattened in the
+    order of `scanner.directions`. The image must have the scanner's
+    shape."""
+    if img.shape != scanner.shape:
+        raise ShapeMismatch(f"range image of shape {img.shape} does not "
+                            f"match the scanner's {scanner.shape}")
     return (img.depth.reshape(-1), img.intensity.reshape(-1),
             img.drop_mask().reshape(-1), img.valid.reshape(-1))
 
 
-def render_batch(params: FieldParams, pose: Se3Param, d_sensor: np.ndarray,
-                 pix, scanner: ScannerConfig, cfg: TrainConfig,
+def render_batch(params: FieldParams, pose: Se3Param, pix,
+                 scanner: ScannerConfig, cfg: TrainConfig,
                  alpha: float | None = None,
                  rng: np.random.Generator | None = None):
-    """Render the pixels `pix` (indices or a slice into the flat sensor
-    directions) from `pose`, sampled as `cfg` says; rng None takes strata
-    midpoints. Returns (origins, dirs, depth, intensity, drop_prob, tape).
+    """Render the pixels `pix` (indices or a slice into
+    `scanner.directions`) from `pose`, sampled as `cfg` says; rng None
+    takes strata midpoints. Returns (origins, dirs, depth, intensity,
+    drop_prob, tape).
     """
-    origins, dirs = pose_rays(pose, d_sensor[pix])
+    origins, dirs = pose_rays(pose, scanner.directions[pix])
     return (origins, dirs, *render_rays(
         params, origins, dirs, cfg.t_near, scanner.max_range,
         cfg.samples_per_ray, pose.phi, alpha=alpha, rng=rng))
 
 
-def render_step(params: FieldParams, pose: Se3Param, d_sensor: np.ndarray,
-                target, scanner: ScannerConfig, cfg: TrainConfig,
+def render_step(params: FieldParams, pose: Se3Param, target,
+                scanner: ScannerConfig, cfg: TrainConfig,
                 alpha: float | None, rng: np.random.Generator,
                 field_grads: bool, chamfer: bool = False):
     """The objective at one pose: draw a batch of pixels, render them,
@@ -284,11 +289,10 @@ def render_step(params: FieldParams, pose: Se3Param, d_sensor: np.ndarray,
     Returns (2D loss, unweighted terms, pose gradient 6-vector); the terms
     hold "cd" and "normal", 0.0 when not measured.
     """
-    pix = rng.choice(d_sensor.shape[0],
-                     size=min(cfg.rays_per_batch, d_sensor.shape[0]),
-                     replace=False)
+    n = len(scanner.directions)
+    pix = rng.choice(n, size=min(cfg.rays_per_batch, n), replace=False)
     origins, dirs, depth, intens, drop, tape = render_batch(
-        params, pose, d_sensor, pix, scanner, cfg, alpha, rng)
+        params, pose, pix, scanner, cfg, alpha, rng)
     batch = tuple(t[pix] for t in target)
     loss, comps, (gd, gi, gp) = render_loss(
         (depth, intens, drop), batch,
@@ -309,36 +313,28 @@ def render_step(params: FieldParams, pose: Se3Param, d_sensor: np.ndarray,
     return loss, comps, backward(tape, gd, gi, gp, field_grads)
 
 
-def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
-          cfg: TrainConfig, enc_cfg: EncodingConfig | None = None):
+def train(images: list[RangeImage], init_poses: Trajectory,
+          scanner: ScannerConfig, cfg: TrainConfig,
+          enc_cfg: EncodingConfig | None = None):
     """Run the alternating optimization and return
     (FieldParams, Trajectory, log rows).
 
-    `init_poses` is a Trajectory or a list of Se3Param. Frame 0 is the
+    `init_poses` is a Trajectory with one pose per image. Frame 0 is the
     gauge anchor and is never updated. Scene coordinates must already live
-    in the unit cube. Every range image must have the same shape, since
-    they share one set of pixel directions.
+    in the unit cube. Every range image must have the scanner's shape.
     """
     m = len(images)
     if m < 3:
         raise TooFewFrames(f"need at least 3 frames, got {m}")
-    shapes = {img.shape for img in images}
-    if len(shapes) > 1:
-        raise ShapeMismatch(f"range images differ in shape: {sorted(shapes)}")
-    if isinstance(init_poses, Trajectory):
-        frame_ids = list(init_poses.frame_ids)
-        poses = [Se3Param.from_matrix(p) for p in init_poses.poses]
-    else:
-        frame_ids = list(range(m))
-        poses = [p.copy() for p in init_poses]
+    if len(init_poses) != m:
+        raise FrameMismatch(
+            f"{len(init_poses)} initial poses for {m} range images")
+    targets = [_flat_target(img, scanner) for img in images]
+    poses = [Se3Param.from_matrix(p) for p in init_poses.poses]
     enc_cfg = enc_cfg if enc_cfg is not None else EncodingConfig()
 
     rng = np.random.default_rng(cfg.seed)
     params = FieldParams(enc_cfg, hidden_width=cfg.hidden_width, seed=cfg.seed)
-    h, w = images[0].shape
-    d_sensor = sensor_directions(h, w, scanner.fov_up_deg,
-                                 scanner.fov_down_deg).reshape(-1, 3)
-    targets = [_flat_target(img) for img in images]
 
     graph = build_graph(m, min(cfg.graph_window, m - 1))
     geo = (GeoSession([unproject(img, scanner) for img in images], graph,
@@ -367,7 +363,7 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
         t_temp = temperature_at(progress, cfg.rcd)
 
         loss_r, comps, pose_grad = render_step(
-            params, poses[frame], d_sensor, targets[frame], scanner, cfg,
+            params, poses[frame], targets[frame], scanner, cfg,
             alpha, rng, field_grads=True,
             chamfer=cfg.cd_every > 0 and it % cfg.cd_every == 0)
         total = (loss_r + cfg.lambda_cd * comps["cd"]
@@ -402,7 +398,8 @@ def train(images: list[RangeImage], init_poses, scanner: ScannerConfig,
                     logs.append(loss_row(it, "geo", geo_loss, alpha=alpha,
                                          t_temp=t_temp))
 
-    traj = Trajectory(frame_ids, np.array([se3_decoupled(p) for p in poses]))
+    traj = Trajectory(list(init_poses.frame_ids),
+                      np.array([se3_decoupled(p) for p in poses]))
     return params, traj, logs
 
 
@@ -418,10 +415,8 @@ def render_full_image(params: FieldParams, pose: Se3Param,
     (`field.render_rays`), whose size does not depend on the CPU count,
     so neither does the image.
     """
-    h, w = scanner.beams, scanner.azimuth_steps
+    h, w = scanner.shape
     n = h * w
-    d_sensor = sensor_directions(h, w, scanner.fov_up_deg,
-                                 scanner.fov_down_deg).reshape(-1, 3)
     depth = np.empty(n)
     intens = np.empty(n)
     drop = np.empty(n)
@@ -435,7 +430,7 @@ def render_full_image(params: FieldParams, pose: Se3Param,
         # instead of 0.06-0.09 s of system time, and 0.99-1.06 s instead of
         # 0.85-0.88 s of wall time (3 processes each, median of 5 renders).
         _, _, depth[sel], intens[sel], drop[sel], _ = render_batch(
-            params, pose, d_sensor, sel, scanner, cfg)
+            params, pose, sel, scanner, cfg)
     valid = drop <= 0.5
     return RangeImage(np.where(valid, depth, -1.0).reshape(h, w),
                       np.where(valid, intens, 0.0).reshape(h, w),
@@ -447,12 +442,10 @@ def register_novel_view(params: FieldParams, target: RangeImage,
                         steps: int = 200, cfg: TrainConfig | None = None,
                         seed: int = 0) -> Se3Param:
     """Pose-only refinement against a target range image with the field
-    frozen (all encoding levels active)."""
+    frozen (all encoding levels active). The target must have the scanner's
+    shape."""
     cfg = cfg if cfg is not None else TrainConfig()
-    h, w = target.shape
-    d_sensor = sensor_directions(h, w, scanner.fov_up_deg,
-                                 scanner.fov_down_deg).reshape(-1, 3)
-    flat = _flat_target(target)
+    flat = _flat_target(target, scanner)
     pose = init_pose.copy()
     rng = np.random.default_rng(seed)
     adam = Adam()
@@ -460,9 +453,8 @@ def register_novel_view(params: FieldParams, target: RangeImage,
         progress = step / max(steps - 1, 1)
         lr_trans = exp_decay(cfg.lr_trans_start, cfg.lr_trans_end, progress)
         lr_rot = exp_decay(cfg.lr_rot_start, cfg.lr_rot_end, progress)
-        loss, comps, pose_grad = render_step(params, pose, d_sensor, flat,
-                                             scanner, cfg, None, rng,
-                                             field_grads=False)
+        loss, comps, pose_grad = render_step(params, pose, flat, scanner, cfg,
+                                             None, rng, field_grads=False)
         _check_finite(loss, step, -1, comps, params, [pose])
         adam.step("rho", pose.rho, pose_grad[:3], lr=lr_trans)
         adam.step("phi", pose.phi, pose_grad[3:], lr=lr_rot)

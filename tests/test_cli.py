@@ -23,11 +23,11 @@ def dataset(tmp_path_factory):
     return out
 
 
-def _small_cfg(tmp_path_factory):
+def _small_cfg(tmp_path_factory, beams=16):
     cfg_dir = tmp_path_factory.mktemp("cfg")
     path = cfg_dir / "small.cfg"
     path.write_text(
-        "scanner.beams = 16\n"
+        f"scanner.beams = {beams}\n"
         "scanner.azimuth_steps = 120\n"
         "scanner.max_range = 1.2\n"
         "train.iterations = 48\n"
@@ -160,8 +160,10 @@ class TestEval:
         np.testing.assert_allclose(float(line[2]), pm.rpe_t_cm, rtol=1e-6)
         np.testing.assert_allclose(float(line[3]), pm.rpe_r_deg, rtol=1e-6)
 
-    def test_eval_with_scans(self, dataset, tmp_path):
-        # predicted scans == ground truth scans -> perfect NVS metrics
+    @staticmethod
+    def _eval_scans(dataset, tmp_path, *flags):
+        """eval with the dataset's scans as the predicted ones; returns the
+        metrics row by column."""
         pred_dir = tmp_path / "pred"
         pred_dir.mkdir()
         for src in dataset.glob("frame_*.rimg"):
@@ -172,13 +174,24 @@ class TestEval:
         rc = main(["eval", str(dataset / "gt_traj.txt"),
                    str(dataset / "gt_traj.txt"),
                    "--pred-dir", str(pred_dir), "--gt-dir", str(dataset),
-                   "--config", str(dataset / "gen.cfg"), "--out", str(out)])
+                   "--out", str(out), *flags])
         assert rc == 0
         header, row = out.read_text().strip().split("\n")[:2]
-        cols = dict(zip(header.split(","), row.split(",")))
+        return dict(zip(header.split(","), row.split(",")))
+
+    def test_eval_with_scans(self, dataset, tmp_path):
+        # predicted scans == ground truth scans -> perfect NVS metrics
+        cols = self._eval_scans(dataset, tmp_path,
+                                "--config", str(dataset / "gen.cfg"))
         assert float(cols["cd"]) < 1e-12
         assert float(cols["fscore"]) == 1.0
         assert float(cols["psnr_d"]) == 99.0
+
+    def test_scans_read_the_datasets_scanner(self, dataset, tmp_path):
+        # Without --config, eval unprojects with --gt-dir's gen.cfg: the
+        # default 32-beam scanner would reject the 16-beam scans.
+        cols = self._eval_scans(dataset, tmp_path)
+        assert float(cols["fscore"]) == 1.0
 
 
 class TestPlot:
@@ -228,6 +241,18 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "voxel_size" in err
+
+    def test_scanner_of_another_shape_exit_1(self, dataset, tmp_path_factory,
+                                             capsys):
+        # The dataset's scans are 16 x 120; an 8-beam scanner's pixel grid
+        # does not fit them.
+        out = tmp_path_factory.mktemp("rec8")
+        rc = main(["reconstruct", str(dataset), "--out", str(out),
+                   "--config", str(_small_cfg(tmp_path_factory, beams=8)),
+                   "--register-steps", "10"])
+        assert rc == 1
+        assert "(16, 120)" in capsys.readouterr().err
+        assert not (out / "est_traj.txt").exists()
 
     def test_unknown_preset_exit_1(self, tmp_path):
         rc = main(["gen", "--preset", "corridor", "--frames", "3",

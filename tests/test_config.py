@@ -73,10 +73,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=key.split(".")[1]):
             getattr(cfg, view)()
 
-    def test_constructor_rejects_unknown(self):
-        with pytest.raises(ConfigError):
-            RunConfig({"nope.nope": 1})
-
     def test_removed_rcd_keys_rejected(self):
         # The weights are always held fixed and the temperature ramp is
         # always linear; a gen.cfg that still sets either key must drop it.

@@ -7,9 +7,9 @@ import pytest
 from geonlf.encoding import EncodingConfig
 from geonlf.errors import TapeMissing
 from geonlf.field import (CHECKPOINT_MAGIC, PARAM_NAMES, FieldParams, backward,
-                          composite, pose_rays, render_rays,
-                          sensor_directions, softplus)
+                          composite, pose_rays, render_rays, softplus)
 from geonlf.geometry import Se3Param, so3_exp
+from geonlf.scene import ScannerConfig
 from oracles import numeric_gradient
 
 TINY = EncodingConfig(levels=2, base_resolution=4, growth=1.5,
@@ -82,30 +82,36 @@ class TestCompositing:
         assert (w.sum(axis=1) <= 1.0 + 1e-9).all()
 
 
+def grid(h, w):
+    """The (h, w, 3) pixel directions of an h x w scanner with fov +10/-30."""
+    return ScannerConfig(beams=h, azimuth_steps=w, fov_up_deg=10.0,
+                         fov_down_deg=-30.0).directions.reshape(h, w, 3)
+
+
 class TestRays:
     def test_center_pixel_zero_elevation(self):
         # rows map fov_up..fov_down; zero elevation at 1/4 from the top
         # with fov +10/-30
         h, w = 4, 8
-        direction = sensor_directions(h, w, 10.0, -30.0)[0, 3]
+        direction = grid(h, w)[0, 3]
         # row 0 center: phi = 10 - 0.5/4*40 = 5 degrees
         assert abs(np.degrees(np.arcsin(direction[2])) - 5.0) < 1e-9
 
     def test_row_monotone_elevation(self):
         h, w = 16, 32
-        zs = sensor_directions(h, w, 10.0, -30.0)[:, 0, 2]
+        zs = grid(h, w)[:, 0, 2]
         assert (np.diff(zs) < 0).all()
 
     def test_pose_rotates_direction(self):
         pose = Se3Param([0.2, 0.1, 0.3], [0.0, 0.0, 0.7])
-        base = sensor_directions(8, 16, 10.0, -30.0)[2, 5]
+        base = grid(8, 16)[2, 5]
         origins, dirs = pose_rays(pose, base[None])
         np.testing.assert_allclose(dirs[0], so3_exp(pose.phi) @ base,
                                    atol=1e-12)
         np.testing.assert_allclose(origins[0], [0.2, 0.1, 0.3])
 
     def test_sensor_directions_unit(self):
-        dirs = sensor_directions(8, 16, 10.0, -30.0)
+        dirs = grid(8, 16)
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=2), 1.0,
                                    atol=1e-12)
 

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from geonlf.cloud import PointCloud
-from geonlf.errors import UnknownPreset
+from geonlf.cloud import PointCloud, RangeImage
+from geonlf.errors import ShapeMismatch, UnknownPreset
 from geonlf.geometry import rotation_angle
 from geonlf.scene import (Box, Cylinder, Rect, ScannerConfig, Scene, Sphere,
                           lidar_scan, make_scene, make_trajectory,
@@ -83,6 +85,18 @@ class TestMakeScene:
             make_scene("volcano", 0)
         with pytest.raises(UnknownPreset):
             make_trajectory("volcano", 8, 0)
+
+
+class TestScannerConfig:
+    def test_directions_cached_and_read_only_fields_frozen(self):
+        cfg = ScannerConfig(beams=4, azimuth_steps=8)
+        assert cfg.shape == (4, 8)
+        assert cfg.directions.shape == (32, 3)
+        assert cfg.directions is cfg.directions
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.directions[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.beams = 8
 
 
 class TestLidarScan:
@@ -186,10 +200,15 @@ class TestProjection:
         intensity = np.zeros((2, 4))
         valid = np.zeros((2, 4), dtype=bool)
         valid[0, 1] = True
-        from geonlf.cloud import RangeImage
         cloud = unproject(RangeImage(depth, intensity, valid),
                           ScannerConfig(beams=2, azimuth_steps=4))
         assert len(cloud) == 1
+
+    def test_image_of_another_shape_rejected(self):
+        shape = (2, 4)
+        rimg = RangeImage(np.ones(shape), np.zeros(shape), np.ones(shape, bool))
+        with pytest.raises(ShapeMismatch, match="\\(2, 4\\)"):
+            unproject(rimg, ScannerConfig(beams=2, azimuth_steps=5))
 
     def test_collision_keeps_nearer(self):
         cfg = ScannerConfig(beams=4, azimuth_steps=8, fov_up_deg=10.0,

@@ -7,10 +7,10 @@ import pytest
 from geonlf import field, trainer
 from geonlf.cloud import PointCloud
 from geonlf.encoding import EncodingConfig
-from geonlf.errors import (EmptyBatch, EmptyCloud, NonFiniteLoss,
-                           ShapeMismatch, TooFewFrames)
+from geonlf.errors import (EmptyBatch, EmptyCloud, FrameMismatch,
+                           NonFiniteLoss, ShapeMismatch, TooFewFrames)
 from geonlf.field import (PARAM_NAMES, SHARD_SAMPLES, FieldParams, backward,
-                          pose_rays, render_rays, sensor_directions)
+                          pose_rays, render_rays)
 from geonlf.geometry import Se3Param, Trajectory, so3_exp
 from geonlf.metrics import pose_metrics
 from geonlf.rcd import RcdConfig
@@ -208,22 +208,18 @@ class TestShardInvariance:
         assert rays * 64 < SHARD_SAMPLES or (rays * 64) % SHARD_SAMPLES
         images, gt, _ = make_dataset(frames=3)
         cfg = TrainConfig(rays_per_batch=rays)
-        d_sensor = sensor_directions(
-            SMALL_SCANNER.beams, SMALL_SCANNER.azimuth_steps,
-            SMALL_SCANNER.fov_up_deg, SMALL_SCANNER.fov_down_deg
-        ).reshape(-1, 3)
-        target = _flat_target(images[1])
+        target = _flat_target(images[1], SMALL_SCANNER)
         pose = Se3Param.from_matrix(gt.poses[1])
         pose.rho += [0.01, -0.01, 0.005]
 
         def steps():
             params = _textured_params(hidden_width=cfg.hidden_width)
             rng = np.random.default_rng(5)
-            loss, comps, grad = render_step(params, pose, d_sensor, target,
+            loss, comps, grad = render_step(params, pose, target,
                                             SMALL_SCANNER, cfg, 3.5, rng, True,
                                             chamfer=True)
-            frozen = render_step(params, pose, d_sensor, target,
-                                 SMALL_SCANNER, cfg, None, rng, False)
+            frozen = render_step(params, pose, target, SMALL_SCANNER, cfg,
+                                 None, rng, False)
             return (loss, comps, grad, frozen,
                     {k: g.copy() for k, g in params.grads.items()})
 
@@ -285,9 +281,7 @@ class TestCdStepGradient:
         scan_pose[:3, :3] = so3_exp([0.0, 0.0, 0.2]) @ scan_pose[:3, :3]
         image, _ = lidar_scan(make_scene("corridor", 0), scan_pose, scanner,
                               seed=0)
-        target = _flat_target(image)
-        d_sensor = sensor_directions(8, 48, scanner.fov_up_deg,
-                                     scanner.fov_down_deg).reshape(-1, 3)
+        target = _flat_target(image, scanner)
         params = _textured_params(np.float64)
         cfg = _chamfer_only(samples_per_ray=8, rays_per_batch=64)
         true_pose = Se3Param.from_matrix(scan_pose)
@@ -296,9 +290,9 @@ class TestCdStepGradient:
 
         def step(v):
             # The same seed draws the same pixels and jitter.
-            return render_step(params, Se3Param(v[:3], v[3:]), d_sensor,
-                               target, scanner, cfg, None,
-                               np.random.default_rng(9), False, chamfer=True)
+            return render_step(params, Se3Param(v[:3], v[3:]), target,
+                               scanner, cfg, None, np.random.default_rng(9),
+                               False, chamfer=True)
 
         base = np.concatenate([pose.rho, pose.phi])
         _, _, pose_grad = step(base)
@@ -320,21 +314,16 @@ class TestChamferPoseStep:
     def test_step_does_not_increase_pose_error(self, seed):
         params = _textured_params(np.float64, seed=seed)
         cfg = _chamfer_only(rays_per_batch=1024, samples_per_ray=64)
-        d_sensor = sensor_directions(
-            SMALL_SCANNER.beams, SMALL_SCANNER.azimuth_steps,
-            SMALL_SCANNER.fov_up_deg, SMALL_SCANNER.fov_down_deg
-        ).reshape(-1, 3)
         _, _, depth, intens, drop, _ = render_batch(
-            params, self.TRUTH, d_sensor, slice(None), SMALL_SCANNER, cfg)
+            params, self.TRUTH, slice(None), SMALL_SCANNER, cfg)
         target = (depth, intens, drop, np.ones(depth.shape[0], bool))
         # About 2 cm and 1 degree off.
         error = np.concatenate([[0.012, -0.012, 0.008],
                                 np.deg2rad([0.6, -0.5, 0.6])])
         pose = Se3Param(self.TRUTH.rho + error[:3],
                         self.TRUTH.phi + error[3:])
-        _, _, grad = render_step(params, pose, d_sensor, target,
-                                 SMALL_SCANNER, cfg, None,
-                                 np.random.default_rng(7), False,
+        _, _, grad = render_step(params, pose, target, SMALL_SCANNER, cfg,
+                                 None, np.random.default_rng(7), False,
                                  chamfer=True)
         for part in (slice(0, 3), slice(3, 6)):
             g = grad[part]
@@ -353,12 +342,8 @@ class TestRenderFullImage:
                             cfg.samples_per_ray * 500)
         assert n_pix > 3 * 500
         out = render_full_image(params, self.POSE, SMALL_SCANNER, cfg)
-        d_sensor = sensor_directions(
-            SMALL_SCANNER.beams, SMALL_SCANNER.azimuth_steps,
-            SMALL_SCANNER.fov_up_deg, SMALL_SCANNER.fov_down_deg
-        ).reshape(-1, 3)
         _, _, depth, intens, drop, _ = render_batch(
-            params, self.POSE, d_sensor, slice(None), SMALL_SCANNER, cfg)
+            params, self.POSE, slice(None), SMALL_SCANNER, cfg)
         valid = drop <= 0.5
         assert 0 < valid.sum() < n_pix
         shape = out.shape
@@ -378,12 +363,8 @@ class TestRenderFullImage:
         params = _textured_params(seed=5, hidden_width=cfg.hidden_width)
         n_pix = SMALL_SCANNER.beams * SMALL_SCANNER.azimuth_steps
         assert n_pix * cfg.samples_per_ray > trainer.RENDER_CHUNK_SAMPLES
-        d_sensor = sensor_directions(
-            SMALL_SCANNER.beams, SMALL_SCANNER.azimuth_steps,
-            SMALL_SCANNER.fov_up_deg, SMALL_SCANNER.fov_down_deg
-        ).reshape(-1, 3)
         _, _, depth, intens, drop, _ = render_batch(
-            params, self.POSE, d_sensor, slice(None), SMALL_SCANNER, cfg)
+            params, self.POSE, slice(None), SMALL_SCANNER, cfg)
         valid = drop <= 0.5
         assert 0 < valid.sum() < n_pix
         shape = (SMALL_SCANNER.beams, SMALL_SCANNER.azimuth_steps)
@@ -427,17 +408,13 @@ class TestPoseOnlyBackward:
         images, gt, _ = make_dataset(frames=3)
         params = _textured_params()
         cfg = small_cfg()
-        d_sensor = sensor_directions(
-            SMALL_SCANNER.beams, SMALL_SCANNER.azimuth_steps,
-            SMALL_SCANNER.fov_up_deg, SMALL_SCANNER.fov_down_deg
-        ).reshape(-1, 3)
-        target = _flat_target(images[1])
+        target = _flat_target(images[1], SMALL_SCANNER)
         pose = Se3Param.from_matrix(gt.poses[1])
         pose.rho += [0.01, -0.01, 0.005]
 
         def step(field_grads):
-            return render_step(params, pose, d_sensor, target, SMALL_SCANNER,
-                               cfg, None, np.random.default_rng(5),
+            return render_step(params, pose, target, SMALL_SCANNER, cfg, None,
+                               np.random.default_rng(5),
                                field_grads=field_grads)
 
         loss_full, comps_full, grad_full = step(True)
@@ -580,9 +557,17 @@ class TestTrainLoop:
             train(images[:2], Trajectory(gt.frame_ids[:2], gt.poses[:2]),
                   SMALL_SCANNER, small_cfg())
 
+    @pytest.mark.parametrize("poses", [3, 5])
+    def test_pose_count_must_match_images(self, poses):
+        images, _, init = make_dataset(frames=5)
+        init = Trajectory(init.frame_ids[:poses], init.poses[:poses])
+        with pytest.raises(FrameMismatch, match=f"{poses} initial poses"):
+            train(images[:4], init, SMALL_SCANNER, small_cfg(iterations=8),
+                  enc_cfg=TINY_ENC)
+
     @pytest.mark.parametrize("width", [40, 56])
     def test_range_images_of_another_shape_rejected(self, width):
-        # All frames share the pixel directions of the first frame: a
+        # Every frame is rendered along the scanner's pixel directions: a
         # narrower frame would be indexed past its end, a wider one trained
         # on the wrong pixels.
         scanner = ScannerConfig(beams=8, azimuth_steps=48, max_range=1.2)
@@ -709,6 +694,14 @@ class TestNonFiniteLoss:
 
 
 class TestRegisterNovelView:
+    def test_target_of_another_shape_rejected(self):
+        other = ScannerConfig(beams=8, azimuth_steps=48, max_range=1.2)
+        images, gt, _ = make_dataset(frames=3, scanner=other)
+        with pytest.raises(ShapeMismatch, match="\\(8, 48\\)"):
+            register_novel_view(_textured_params(), images[1], SMALL_SCANNER,
+                                Se3Param.from_matrix(gt.poses[1]), steps=1,
+                                cfg=small_cfg())
+
     def _trained(self):
         images, gt, init = make_dataset(frames=4, sigma_rot=0.0,
                                         sigma_trans=0.0)
