@@ -215,11 +215,14 @@ def cmd_eval(args) -> int:
             for acc, v in zip((cds, fss, rds, mds, pds, ris, mis, pis),
                               (cd, fs, rd, md, pd, ri, mi, pi)):
                 acc.append(v)
-        if cds:
-            row.update(cd=float(np.mean(cds)), fscore=float(np.mean(fss)),
-                       rmse_d=float(np.mean(rds)), medae_d=float(np.mean(mds)),
-                       psnr_d=float(np.mean(pds)), rmse_i=float(np.mean(ris)),
-                       medae_i=float(np.mean(mis)), psnr_i=float(np.mean(pis)))
+        if not cds:
+            raise FileNotFoundError(
+                f"no pred_frame_*.rimg in {args.pred_dir} has a "
+                f"frame_*.rimg in {args.gt_dir}")
+        row.update(cd=float(np.mean(cds)), fscore=float(np.mean(fss)),
+                   rmse_d=float(np.mean(rds)), medae_d=float(np.mean(mds)),
+                   psnr_d=float(np.mean(pds)), rmse_i=float(np.mean(ris)),
+                   medae_i=float(np.mean(mis)), psnr_i=float(np.mean(pis)))
     csv_text = metrics_rows_to_csv([row])
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -285,8 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev = subs.add_parser("eval", help="metrics between trajectories / scans")
     ev.add_argument("est", help="estimated trajectory file")
     ev.add_argument("ref", help="reference trajectory file")
-    ev.add_argument("--pred-dir", default=None)
-    ev.add_argument("--gt-dir", default=None)
+    ev.add_argument("--pred-dir", default=None,
+                    help="predicted scans pred_frame_*.rimg; needs --gt-dir")
+    ev.add_argument("--gt-dir", default=None,
+                    help="dataset with the scans frame_*.rimg; needs --pred-dir")
     ev.add_argument("--seq", default="seq0")
     ev.add_argument("--fscore-threshold", type=float, default=0.05)
     ev.add_argument("--config", help="run configuration file")
@@ -301,7 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "eval" and bool(args.pred_dir) != bool(args.gt_dir):
+        parser.error("eval: --pred-dir and --gt-dir must be given together")
     try:
         return args.func(args)
     except NonFiniteLoss as exc:

@@ -146,7 +146,8 @@ def composite(sigma: np.ndarray, delta: np.ndarray, z: np.ndarray,
               *values: np.ndarray):
     """Volume-rendering weights and integrals along each ray.
 
-    sigma, delta, z and each of `values`: (n, N). Returns (weights, depth,
+    sigma, delta, z and each of `values`: (n, N); delta and z may also be
+    one (N,) row that every ray shares. Returns (weights, depth,
     *integrated values), the sums taken in float64.
     Weights are T_i * (1 - exp(-sigma_i * delta_i)) with T_i the
     accumulated transmittance; their sum telescopes to 1 - T_{N+1} <= 1.
@@ -168,10 +169,10 @@ def _composite_backward(g_w: np.ndarray, weights: np.ndarray,
     return g_w * _transmittance(tau) * np.exp(-tau) - suffix
 
 
-# Samples per shard: every `render_rays` call is cut into runs of this many
-# samples (256 rays at 64 per ray), which render on the shared pool
-# (`spatial.pool_map`). The size is fixed, not a share of the CPU count, so
-# every machine does the same arithmetic: OpenBLAS rounds the
+# Samples per shard: every render (`render_rays`, `render_forward`) is cut
+# into runs of this many samples (256 rays at 64 per ray), which run on the
+# shared pool (`spatial.pool_map`). The size is fixed, not a share of the
+# CPU count, so every machine does the same arithmetic: OpenBLAS rounds the
 # (n x 32) @ (32 x 3) heads GEMM differently below about 12k rows (its
 # small-matrix kernel).
 SHARD_SAMPLES = 16_384
@@ -285,11 +286,50 @@ def _shards(n: int, num_samples: int) -> list[_Shard]:
     return [_Shard(slice(lo, min(lo + rays, n))) for lo in range(0, n, rays)]
 
 
+def _sample_distances(t_near: float, t_far: float, num_samples: int,
+                      jitter, dtype: np.dtype):
+    """Stratified sample distances and their spacings (the last one runs to
+    t_far). `jitter` in [0, 1) is the offset within each stratum: (n, N)
+    gives (n, N) rows, the scalar 0.5 one (N,) row of midpoints that every
+    ray shares, with the same values."""
+    frac = (np.arange(num_samples) + jitter) / num_samples
+    ts = (t_near + frac * (t_far - t_near)).astype(dtype)
+    delta = np.diff(ts, axis=-1)
+    return ts, np.concatenate([delta, dtype.type(t_far) - ts[..., -1:]],
+                              axis=-1)
+
+
+def _forward(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
+             ts: np.ndarray, delta: np.ndarray, alpha: float | None,
+             shard: _Shard | None = None):
+    """The forward of one shard's n rays: sample positions, clamped into
+    the unit cube, through the encoders and the MLP, then composited.
+    `ts` and `delta` are (n, N), or one (N,) row that every ray shares.
+    With `shard`, what the reverse pass needs is kept on it: the mask of
+    unclamped coordinates and the encoder and MLP caches. Returns
+    (sigma, s_vals, l_vals, weights), each (n, N), then (depth, intensity,
+    drop_logit), each (n,).
+    """
+    x = (origins[:, None, :] + ts[..., None] * dirs[:, None, :]).reshape(-1, 3)
+    feats, enc_cache = encode_forward(
+        np.clip(x, 0.0, 1.0), params.params["planes"], params.params["hash"],
+        params.cfg, alpha)
+    sigma, s_vals, l_vals, mlp_cache = _mlp_forward(params, feats)
+    if shard is not None:
+        shard.inside = ((x >= 0.0) & (x <= 1.0)).astype(params.dtype)
+        shard.enc_cache, shard.mlp_cache = enc_cache, mlp_cache
+    rows = (origins.shape[0], ts.shape[-1])
+    sigma, s_vals, l_vals = (v.reshape(rows) for v in (sigma, s_vals, l_vals))
+    return (sigma, s_vals, l_vals,
+            *composite(sigma, delta, ts, s_vals, l_vals))
+
+
 def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
                 t_near: float, t_far: float, num_samples: int,
                 pose_phi: np.ndarray, alpha: float | None = None,
                 rng: np.random.Generator | None = None):
-    """Batched volume rendering of depth / intensity / ray-drop.
+    """Batched volume rendering of depth / intensity / ray-drop, recorded
+    for `backward`.
 
     Samples are stratified uniform in [t_near, t_far], one range for every
     ray (deterministic strata midpoints when rng is None); the whole
@@ -303,7 +343,10 @@ def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
     The rays are cut into shards of SHARD_SAMPLES samples, which render as
     tasks of `spatial.pool_map`, one thread per usable CPU. Each ray is
     rendered within one shard, and the shards do not depend on the CPU
-    count, so neither do the outputs, bit for bit.
+    count, so neither do the outputs, bit for bit. Each shard keeps its
+    encoder and MLP caches, and the tape holds the whole batch's (n, N)
+    sample distances, densities, values and weights: a caller that needs
+    no reverse pass renders with `render_forward` instead.
     """
     dtype = params.dtype
     origins = np.atleast_2d(np.asarray(origins, dtype=dtype))
@@ -312,10 +355,7 @@ def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
 
     jitter = (np.full((n, num_samples), 0.5) if rng is None
               else rng.random((n, num_samples)))
-    frac = (np.arange(num_samples) + jitter) / num_samples
-    ts = (t_near + frac * (t_far - t_near)).astype(dtype)
-    delta = np.diff(ts, axis=1)
-    delta = np.concatenate([delta, dtype.type(t_far) - ts[:, -1:]], axis=1)
+    ts, delta = _sample_distances(t_near, t_far, num_samples, jitter, dtype)
 
     sigma, s_vals, l_vals, weights = (np.empty((n, num_samples), dtype)
                                       for _ in range(4))
@@ -323,19 +363,9 @@ def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
 
     def render(shard: _Shard) -> None:
         r = shard.rays
-        x = origins[r, None, :] + ts[r, :, None] * dirs[r, None, :]
-        x_flat = x.reshape(-1, 3)
-        clamped = np.clip(x_flat, 0.0, 1.0)
-        shard.inside = ((x_flat >= 0.0) & (x_flat <= 1.0)).astype(dtype)
-        feats, shard.enc_cache = encode_forward(
-            clamped, params.params["planes"], params.params["hash"],
-            params.cfg, alpha)
-        sigma_flat, s_flat, l_flat, shard.mlp_cache = _mlp_forward(params, feats)
-        sigma[r] = sigma_flat.reshape(-1, num_samples)
-        s_vals[r] = s_flat.reshape(-1, num_samples)
-        l_vals[r] = l_flat.reshape(-1, num_samples)
-        weights[r], depth[r], intensity[r], drop_logit[r] = composite(
-            sigma[r], delta[r], ts[r], s_vals[r], l_vals[r])
+        (sigma[r], s_vals[r], l_vals[r], weights[r], depth[r], intensity[r],
+         drop_logit[r]) = _forward(params, origins[r], dirs[r], ts[r],
+                                   delta[r], alpha, shard)
 
     shards = _shards(n, num_samples)
     list(pool_map([partial(render, shard) for shard in shards]))
@@ -344,6 +374,34 @@ def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
     tape = RenderTape(params, n, num_samples, ts, delta, sigma, s_vals,
                       l_vals, weights, drop_prob, dirs, pose_phi, shards)
     return depth, intensity, drop_prob, tape
+
+
+def render_forward(params: FieldParams, origins: np.ndarray,
+                   dirs: np.ndarray, t_near: float, t_far: float,
+                   num_samples: int):
+    """Forward-only render at the strata midpoints with every encoding
+    level active: (depth, intensity, drop_prob), equal bit for bit to
+    those of `render_rays` with rng None.
+
+    The shards are those of `render_rays`, all in one `spatial.pool_map`.
+    A shard keeps nothing for a reverse pass: it writes its rays' three
+    outputs and frees the rest, and every shard reads one (N,) row of
+    sample distances, so peak memory does not grow with the ray count.
+    """
+    dtype = params.dtype
+    origins = np.atleast_2d(np.asarray(origins, dtype=dtype))
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=dtype))
+    n = origins.shape[0]
+    ts, delta = _sample_distances(t_near, t_far, num_samples, 0.5, dtype)
+    depth, intensity, drop_logit = np.empty(n), np.empty(n), np.empty(n)
+
+    def render(r: slice) -> None:
+        *_, depth[r], intensity[r], drop_logit[r] = _forward(
+            params, origins[r], dirs[r], ts, delta, None)
+
+    list(pool_map([partial(render, shard.rays)
+                   for shard in _shards(n, num_samples)]))
+    return depth, intensity, expit(drop_logit)
 
 
 def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,

@@ -18,20 +18,14 @@ from .cloud import PointCloud, RangeImage
 from .encoding import EncodingConfig
 from .errors import (DegenerateNeighborhood, EmptyBatch, EmptyCloud,
                      FrameMismatch, NonFiniteLoss, ShapeMismatch, TooFewFrames)
-from .field import PARAM_NAMES, FieldParams, backward, pose_rays, render_rays
+from .field import (PARAM_NAMES, FieldParams, backward, pose_rays,
+                    render_forward, render_rays)
 from .formats import loss_row
 from .geometry import Se3Param, Trajectory, se3_decoupled
 from .optim import Adam, exp_decay
 from .rcd import GeoSession, RcdConfig, build_graph, temperature_at
 from .scene import ScannerConfig, unproject
 from .spatial import NORMAL_NEIGHBORS, KdTree, estimate_normals
-
-
-# Samples per chunk of a full-image render: one default training batch
-# (1024 rays x 64 samples, four shards), so a render's tape is no larger
-# than a training step's (55 MB in float32, by tracemalloc on the default
-# field) whatever the image size and the CPU count.
-RENDER_CHUNK_SAMPLES = 65_536
 
 
 @dataclass
@@ -409,28 +403,16 @@ def render_full_image(params: FieldParams, pose: Se3Param,
     encoding level active; pixels with drop probability above 0.5 are
     marked invalid.
 
-    Rays go through `render_batch` in chunks of RENDER_CHUNK_SAMPLES
-    samples, one after another, so peak memory does not grow with the
-    image size. Each chunk renders on every CPU in shards
-    (`field.render_rays`), whose size does not depend on the CPU count,
-    so neither does the image.
+    The whole image is one `field.render_forward`: one pool map of
+    fixed-size shards that keep no reverse-pass state, so peak memory does
+    not grow with the image size, and the image neither depends on the CPU
+    count nor differs from the one-piece `render_batch`, bit for bit.
     """
     h, w = scanner.shape
-    n = h * w
-    depth = np.empty(n)
-    intens = np.empty(n)
-    drop = np.empty(n)
-    chunk = max(RENDER_CHUNK_SAMPLES // cfg.samples_per_ray, 1)
-    for lo in range(0, n, chunk):
-        sel = slice(lo, min(lo + chunk, n))
-        # The unused tape stays bound to `_` until the next chunk has been
-        # rendered, so the heap keeps its pages. Freed first, they are
-        # trimmed and faulted in again: on a 32x360 default render on two
-        # CPUs that is 72k-100k instead of 15k-19k minor faults, 0.29-0.40 s
-        # instead of 0.06-0.09 s of system time, and 0.99-1.06 s instead of
-        # 0.85-0.88 s of wall time (3 processes each, median of 5 renders).
-        _, _, depth[sel], intens[sel], drop[sel], _ = render_batch(
-            params, pose, sel, scanner, cfg)
+    origins, dirs = pose_rays(pose, scanner.directions)
+    depth, intens, drop = render_forward(params, origins, dirs, cfg.t_near,
+                                         scanner.max_range,
+                                         cfg.samples_per_ray)
     valid = drop <= 0.5
     return RangeImage(np.where(valid, depth, -1.0).reshape(h, w),
                       np.where(valid, intens, 0.0).reshape(h, w),

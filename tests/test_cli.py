@@ -231,6 +231,32 @@ class TestErrors:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--pred-dir", "--gt-dir"])
+    def test_lone_scan_dir_is_a_usage_error(self, flag, dataset, capsys):
+        # Scans are compared only with both directories; one alone would
+        # be ignored and every scan column read nan.
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(dataset / "gt_traj.txt"),
+                  str(dataset / "gt_traj.txt"), flag, str(dataset)])
+        assert exc.value.code == 2
+        assert "--pred-dir and --gt-dir" in capsys.readouterr().err
+
+    def test_no_prediction_with_a_ground_truth_scan_exit_1(self, dataset,
+                                                           tmp_path, capsys):
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        (pred_dir / "pred_frame_0099.rimg").write_bytes(
+            (dataset / "frame_0000.rimg").read_bytes())
+        out = tmp_path / "m.csv"
+        rc = main(["eval", str(dataset / "gt_traj.txt"),
+                   str(dataset / "gt_traj.txt"), "--pred-dir", str(pred_dir),
+                   "--gt-dir", str(dataset), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(pred_dir) in err and str(dataset) in err
+        assert not out.exists()
+
     def test_bad_config_value_exit_1(self, dataset, tmp_path, capsys):
         # A value that parses but that RcdConfig rejects is reported as
         # an error line, not a traceback.

@@ -16,6 +16,7 @@ from geonlf.metrics import pose_metrics
 from geonlf.rcd import RcdConfig
 from geonlf.scene import (ScannerConfig, lidar_scan, make_scene,
                           make_trajectory, perturb_poses)
+from geonlf.spatial import pool_map
 from geonlf.trainer import (FrameLossTracker, TrainConfig, _flat_target,
                             alternation_ratio, c2f_alpha, cd_loss_3d,
                             normal_loss, register_novel_view, render_batch,
@@ -334,16 +335,19 @@ class TestChamferPoseStep:
 class TestRenderFullImage:
     POSE = Se3Param([0.45, 0.5, 0.3], [0.0, 0.0, 0.3])
 
-    def test_chunks_equal_one_batch(self, monkeypatch):
-        params = _textured_params()
-        cfg = small_cfg()
-        n_pix = SMALL_SCANNER.beams * SMALL_SCANNER.azimuth_steps
-        monkeypatch.setattr(trainer, "RENDER_CHUNK_SAMPLES",
-                            cfg.samples_per_ray * 500)
-        assert n_pix > 3 * 500
-        out = render_full_image(params, self.POSE, SMALL_SCANNER, cfg)
+    @pytest.mark.parametrize("samples_per_ray", [64, 48])
+    def test_equals_one_batch(self, samples_per_ray):
+        # At 48 samples per ray a shard is 341 rays, which does not divide
+        # the 5,760-ray image: the image equals the one-piece render only
+        # if both cut their shards at the same rays.
+        cfg = TrainConfig(samples_per_ray=samples_per_ray)
+        # Seed 5 drops some pixels and keeps others.
+        params = _textured_params(seed=5, hidden_width=cfg.hidden_width)
+        scanner = ScannerConfig(beams=16, azimuth_steps=360, max_range=1.2)
+        n_pix = scanner.beams * scanner.azimuth_steps
+        out = render_full_image(params, self.POSE, scanner, cfg)
         _, _, depth, intens, drop, _ = render_batch(
-            params, self.POSE, slice(None), SMALL_SCANNER, cfg)
+            params, self.POSE, slice(None), scanner, cfg)
         valid = drop <= 0.5
         assert 0 < valid.sum() < n_pix
         shape = out.shape
@@ -353,16 +357,29 @@ class TestRenderFullImage:
         np.testing.assert_array_equal(
             out.intensity, np.where(valid, intens, 0.0).reshape(shape))
 
+    @pytest.mark.parametrize("beams", [8, 32])
+    def test_one_pool_map_per_image(self, beams, monkeypatch):
+        maps = []
+
+        def counting_pool_map(tasks):
+            maps.append(len(tasks))
+            return pool_map(tasks)
+
+        monkeypatch.setattr(field, "pool_map", counting_pool_map)
+        scanner = ScannerConfig(beams=beams, azimuth_steps=360)
+        render_full_image(_textured_params(), self.POSE, scanner, small_cfg())
+        assert maps == [-(-beams * 360 * 32 // SHARD_SAMPLES)]
+
     def test_same_image_for_any_worker_count(self, set_cpus):
-        # The default hidden width and samples per ray, on an image of two
-        # chunks: a chunk or shard of fewer than ~12k samples would put the
+        # The default hidden width and samples per ray, on an image of more
+        # than one shard: a shard of fewer than ~12k samples would put the
         # heads GEMM on OpenBLAS's small-matrix kernel, which rounds
         # differently.
         cfg = TrainConfig()
         # Seed 5 drops some pixels and keeps others.
         params = _textured_params(seed=5, hidden_width=cfg.hidden_width)
         n_pix = SMALL_SCANNER.beams * SMALL_SCANNER.azimuth_steps
-        assert n_pix * cfg.samples_per_ray > trainer.RENDER_CHUNK_SAMPLES
+        assert n_pix * cfg.samples_per_ray > SHARD_SAMPLES
         _, _, depth, intens, drop, _ = render_batch(
             params, self.POSE, slice(None), SMALL_SCANNER, cfg)
         valid = drop <= 0.5
@@ -386,18 +403,27 @@ class TestRenderFullImage:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_peak_memory_independent_of_image_size(self):
+    def test_peak_memory_independent_of_image_size(self, set_cpus):
+        # Two CPUs, so that two shards are live at once on any host. How
+        # far their allocations overlap depends on the scheduling (a
+        # 2-shard peak reads 31-36 MB on the 8-beam image when another
+        # process takes CPU time), so each size's peak is the largest of a
+        # few renders.
+        set_cpus(2)
         params = _textured_params()
         cfg = TrainConfig(hidden_width=16)
 
         def peak(beams):
             scanner = ScannerConfig(beams=beams, azimuth_steps=360)
-            tracemalloc.start()
-            try:
-                render_full_image(params, self.POSE, scanner, cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peaks = []
+            for _ in range(4):
+                tracemalloc.start()
+                try:
+                    render_full_image(params, self.POSE, scanner, cfg)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return max(peaks)
 
         small, large = peak(8), peak(32)
         assert large <= 1.15 * small, (small, large)
