@@ -104,8 +104,7 @@ def cmd_register(args) -> int:
         losses: list[float] = []
     else:
         poses = [Se3Param.from_matrix(p) for p in init.poses]
-        graph = build_graph(len(clouds), min(cfg["train.graph_window"],
-                                             len(clouds) - 1))
+        graph = build_graph(len(clouds), cfg.train().graph_window)
         losses = []
         poses = geo_optimize(clouds, poses, graph, cfg.rcd(), steps,
                              lr_rot=cfg["geo.lr_rot"],

@@ -27,7 +27,8 @@ of `mask_order()`: the weight of a slot does not increase with the slot,
 and the order sorts the blocks by resolution, so the hash levels keep their
 index order in it. The live hash levels are therefore levels[:live], and
 the planar block is either live or skipped. The encoders take their input
-as it comes, inside the unit cube; `field.render_rays` clips it.
+as it comes, inside the unit cube; `field._forward`, which both renders
+share, clips it.
 """
 
 from __future__ import annotations

@@ -4,15 +4,16 @@ LiDAR rays, and exact reverse-mode gradients for every parameter and for
 the frame pose (through ray origin and direction).
 
 Parameters are stored in a configurable dtype (float32 by default, float64
-for gradient checking); all arithmetic and every gradient accumulation run
-in float64.
+for gradient checking). The forward pass and the upstream gradients of the
+reverse pass run in that dtype; the compositing sums and every gradient
+accumulation run in float64.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import partial
 
 import numpy as np
@@ -94,15 +95,7 @@ class FieldParams:
     # -- checkpoint ------------------------------------------------------
 
     def save(self, path: str) -> None:
-        cfg = self.cfg
-        meta = {
-            "levels": cfg.levels, "base_resolution": cfg.base_resolution,
-            "growth": cfg.growth, "features_per_level": cfg.features_per_level,
-            "hash_table_size": cfg.hash_table_size,
-            "planar_resolution": cfg.planar_resolution,
-            "planar_channels": cfg.planar_channels,
-            "hidden_width": self.hidden_width,
-        }
+        meta = {**asdict(self.cfg), "hidden_width": self.hidden_width}
         blob = json.dumps(meta, sort_keys=True).encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)

@@ -56,19 +56,18 @@ def icp_pairwise(source: PointCloud, target: PointCloud,
     return transform
 
 
-def icp_odometry(clouds: list[PointCloud], init_relatives: list[np.ndarray] | None = None,
+def icp_odometry(clouds: list[PointCloud], init_relatives: list[np.ndarray],
                  max_iters: int = 50, tol: float = 1e-8) -> list[np.ndarray]:
     """Chain pairwise ICP over consecutive frames, odometry style.
 
     Frame i is registered against frame i-1; world poses accumulate from
     identity at frame 0. `init_relatives[i]` seeds the pairwise solve for
-    the (i, i-1) pair when provided. The pairs are independent and run as
-    `pool_map` tasks; their transforms are chained in frame order, so the
-    poses do not depend on the CPU count.
+    the (i, i-1) pair. The pairs are independent and run as `pool_map`
+    tasks; their transforms are chained in frame order, so the poses do not
+    depend on the CPU count.
     """
     pairs = [partial(icp_pairwise, clouds[i], clouds[i - 1],
-                     max_iters=max_iters, tol=tol,
-                     init=None if init_relatives is None else init_relatives[i])
+                     max_iters=max_iters, tol=tol, init=init_relatives[i])
              for i in range(1, len(clouds))]
     poses = [np.eye(4)]
     for rel in pool_map(pairs):

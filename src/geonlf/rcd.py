@@ -39,16 +39,14 @@ from .cloud import PointCloud
 from .errors import DegenerateNeighborhood, EmptyCloud, EmptyList, TooFewFrames
 from .geometry import Se3Param, so3_exp, so3_left_jacobian
 from .optim import Adam, exp_decay
-from .spatial import (NORMAL_NEIGHBORS, KdTree, normals_at, pool_map,
-                      voxel_downsample)
+from .spatial import KdTree, normals_at, pool_map, voxel_downsample
 
 
 @dataclass
 class FrameGraph:
-    """Edges (i, j), i < j, between frames at most `window` apart."""
+    """Edges (i, j), i < j, between frames at most a window apart."""
 
     num_frames: int
-    window: int
     edges: list[tuple[int, int]]
 
 
@@ -81,21 +79,17 @@ class RcdConfig:
 def build_graph(num_frames: int, window: int) -> FrameGraph:
     """All pairs (i, j) with 0 < j - i <= window, sorted lexicographically.
 
-    A window of num_frames-1 or larger is clamped with a warning. The edge
-    count equals n*M - n*(n+1)/2 for window n < M.
+    A window of num_frames-1 or larger gives every pair. The edge count
+    equals n*M - n*(n+1)/2 for window n < M.
     """
     if num_frames < 2:
         raise TooFewFrames(f"need at least 2 frames, got {num_frames}")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if window >= num_frames:
-        warnings.warn(f"window {window} >= num_frames {num_frames}; "
-                      f"clamping to {num_frames - 1}", RuntimeWarning)
-        window = num_frames - 1
     edges = [(i, j)
              for i in range(num_frames)
              for j in range(i + 1, min(i + window, num_frames - 1) + 1)]
-    return FrameGraph(num_frames, window, edges)
+    return FrameGraph(num_frames, edges)
 
 
 def correspondence_weights(distances: np.ndarray, t: float,
@@ -337,9 +331,10 @@ def _surface_cloud(cloud: PointCloud, voxel_size: float) -> PointCloud:
     """The voxel centroids of a sensor-frame cloud with normals from the
     full-resolution points around them.
 
-    A cloud of at most NORMAL_NEIGHBORS points, or with only collinear
-    neighborhoods, gets bare centroids and a RuntimeWarning: every edge
-    touching that frame then falls back to the point-to-point residual.
+    A cloud of at most `spatial.NORMAL_NEIGHBORS` points, or with only
+    collinear neighborhoods, gets bare centroids and a RuntimeWarning: every
+    edge touching that frame then falls back to the point-to-point
+    residual.
     """
     centroids = voxel_downsample(cloud, voxel_size)
     try:

@@ -69,7 +69,8 @@ class TrainConfig:
             raise ValueError("need 0 <= c2f_start < c2f_end <= 1")
         if not 0.0 < self.w0_start <= 1.0:
             raise ValueError("w0_start must be in (0, 1]")
-        for name in ("m1", "samples_per_ray"):
+        for name in ("m1", "samples_per_ray", "rays_per_batch",
+                     "graph_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -248,29 +249,16 @@ def _flat_target(img: RangeImage, scanner: ScannerConfig):
             img.drop_mask().reshape(-1), img.valid.reshape(-1))
 
 
-def render_batch(params: FieldParams, pose: Se3Param, pix,
-                 scanner: ScannerConfig, cfg: TrainConfig,
-                 alpha: float | None = None,
-                 rng: np.random.Generator | None = None):
-    """Render the pixels `pix` (indices or a slice into
-    `scanner.directions`) from `pose`, sampled as `cfg` says; rng None
-    takes strata midpoints. Returns (origins, dirs, depth, intensity,
-    drop_prob, tape).
-    """
-    origins, dirs = pose_rays(pose, scanner.directions[pix])
-    return (origins, dirs, *render_rays(
-        params, origins, dirs, cfg.t_near, scanner.max_range,
-        cfg.samples_per_ray, pose.phi, alpha=alpha, rng=rng))
-
-
 def render_step(params: FieldParams, pose: Se3Param, target,
                 scanner: ScannerConfig, cfg: TrainConfig,
                 alpha: float | None, rng: np.random.Generator,
                 field_grads: bool, chamfer: bool = False):
-    """The objective at one pose: draw a batch of pixels, render them,
-    score them against the flat `target` with `render_loss`, and run the
-    reverse pass. With `field_grads` the field gradients are zeroed and
-    filled; without, the field is frozen and params.grads is not touched.
+    """The objective at one pose: draw a batch of pixels, render them
+    from `pose` with strata jittered by `rng`, score them against the flat
+    `target` with `render_loss`, and run the reverse pass. Training and
+    registration render a pose only here. With `field_grads` the field
+    gradients are zeroed and filled; without, the field is frozen and
+    params.grads is not touched.
 
     With `chamfer`, the batch's valid pixels also give two clouds, placed
     at `pose`: the synthesized points (rendered depth) and the observed
@@ -285,8 +273,10 @@ def render_step(params: FieldParams, pose: Se3Param, target,
     """
     n = len(scanner.directions)
     pix = rng.choice(n, size=min(cfg.rays_per_batch, n), replace=False)
-    origins, dirs, depth, intens, drop, tape = render_batch(
-        params, pose, pix, scanner, cfg, alpha, rng)
+    origins, dirs = pose_rays(pose, scanner.directions[pix])
+    depth, intens, drop, tape = render_rays(
+        params, origins, dirs, cfg.t_near, scanner.max_range,
+        cfg.samples_per_ray, pose.phi, alpha=alpha, rng=rng)
     batch = tuple(t[pix] for t in target)
     loss, comps, (gd, gi, gp) = render_loss(
         (depth, intens, drop), batch,
@@ -330,7 +320,7 @@ def train(images: list[RangeImage], init_poses: Trajectory,
     rng = np.random.default_rng(cfg.seed)
     params = FieldParams(enc_cfg, hidden_width=cfg.hidden_width, seed=cfg.seed)
 
-    graph = build_graph(m, min(cfg.graph_window, m - 1))
+    graph = build_graph(m, cfg.graph_window)
     geo = (GeoSession([unproject(img, scanner) for img in images], graph,
                       cfg.rcd) if cfg.use_geo else None)
     adam_field = Adam()
@@ -406,7 +396,8 @@ def render_full_image(params: FieldParams, pose: Se3Param,
     The whole image is one `field.render_forward`: one pool map of
     fixed-size shards that keep no reverse-pass state, so peak memory does
     not grow with the image size, and the image neither depends on the CPU
-    count nor differs from the one-piece `render_batch`, bit for bit.
+    count nor differs from one `render_rays` of every pixel at strata
+    midpoints, bit for bit.
     """
     h, w = scanner.shape
     origins, dirs = pose_rays(pose, scanner.directions)
@@ -421,12 +412,11 @@ def render_full_image(params: FieldParams, pose: Se3Param,
 
 def register_novel_view(params: FieldParams, target: RangeImage,
                         scanner: ScannerConfig, init_pose: Se3Param,
-                        steps: int = 200, cfg: TrainConfig | None = None,
+                        steps: int, cfg: TrainConfig,
                         seed: int = 0) -> Se3Param:
     """Pose-only refinement against a target range image with the field
     frozen (all encoding levels active). The target must have the scanner's
     shape."""
-    cfg = cfg if cfg is not None else TrainConfig()
     flat = _flat_target(target, scanner)
     pose = init_pose.copy()
     rng = np.random.default_rng(seed)

@@ -258,15 +258,16 @@ class TestErrors:
         assert not out.exists()
 
     def test_bad_config_value_exit_1(self, dataset, tmp_path, capsys):
-        # A value that parses but that RcdConfig rejects is reported as
-        # an error line, not a traceback.
-        bad = tmp_path / "zero_voxel.cfg"
-        bad.write_text("rcd.voxel_size = 0\n")
-        rc = main(["register", str(dataset), "--config", str(bad),
-                   "--out", str(tmp_path / "reg")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "voxel_size" in err
+        # A value that parses but that its section's config rejects is
+        # reported as an error line, not a traceback.
+        for key in ("rcd.voxel_size", "train.graph_window"):
+            bad = tmp_path / f"{key}.cfg"
+            bad.write_text(f"{key} = 0\n")
+            rc = main(["register", str(dataset), "--config", str(bad),
+                       "--out", str(tmp_path / "reg")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and key.split(".")[1] in err
 
     def test_scanner_of_another_shape_exit_1(self, dataset, tmp_path_factory,
                                              capsys):

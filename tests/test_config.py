@@ -64,6 +64,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("key, view", [
         ("train.m1", "train"), ("train.samples_per_ray", "train"),
+        ("train.rays_per_batch", "train"), ("train.graph_window", "train"),
         ("rcd.voxel_size", "rcd"), ("scanner.beams", "scanner"),
         ("field.levels", "encoding")])
     def test_typed_view_rejects_zero(self, key, view):

@@ -45,11 +45,11 @@ class TestBuildGraph:
                 assert len(set(g.edges)) == len(g.edges)
                 assert all(0 < j - i <= n for i, j in g.edges)
 
-    def test_window_clamped(self):
-        with pytest.warns(RuntimeWarning):
-            g = build_graph(3, 10)
-        assert g.window == 2
-        assert len(g.edges) == 3
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    def test_wide_window_gives_every_pair(self, m):
+        every_pair = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        for window in (m - 1, m, m + 7):
+            assert build_graph(m, window).edges == every_pair
 
     def test_too_few_frames(self):
         with pytest.raises(TooFewFrames):

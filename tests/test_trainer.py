@@ -19,7 +19,7 @@ from geonlf.scene import (ScannerConfig, lidar_scan, make_scene,
 from geonlf.spatial import pool_map
 from geonlf.trainer import (FrameLossTracker, TrainConfig, _flat_target,
                             alternation_ratio, c2f_alpha, cd_loss_3d,
-                            normal_loss, register_novel_view, render_batch,
+                            normal_loss, register_novel_view,
                             render_full_image, render_loss, render_step,
                             reweight_factor, select_outliers, train)
 from oracles import brute_chamfer, numeric_gradient
@@ -195,6 +195,14 @@ def _textured_params(dtype=np.float32, seed=3, hidden_width=16):
     return params
 
 
+def _render_every_pixel(params, pose, scanner, cfg):
+    """(depth, intensity, drop_prob) of one `render_rays` of every pixel at
+    strata midpoints."""
+    origins, dirs = pose_rays(pose, scanner.directions)
+    return render_rays(params, origins, dirs, cfg.t_near, scanner.max_range,
+                       cfg.samples_per_ray, pose.phi)[:3]
+
+
 class TestShardInvariance:
     """Training renders on every CPU in shards of a fixed size; the loss,
     the Chamfer and normal terms, the pose gradient and every field
@@ -315,8 +323,8 @@ class TestChamferPoseStep:
     def test_step_does_not_increase_pose_error(self, seed):
         params = _textured_params(np.float64, seed=seed)
         cfg = _chamfer_only(rays_per_batch=1024, samples_per_ray=64)
-        _, _, depth, intens, drop, _ = render_batch(
-            params, self.TRUTH, slice(None), SMALL_SCANNER, cfg)
+        depth, intens, drop = _render_every_pixel(params, self.TRUTH,
+                                                  SMALL_SCANNER, cfg)
         target = (depth, intens, drop, np.ones(depth.shape[0], bool))
         # About 2 cm and 1 degree off.
         error = np.concatenate([[0.012, -0.012, 0.008],
@@ -346,8 +354,8 @@ class TestRenderFullImage:
         scanner = ScannerConfig(beams=16, azimuth_steps=360, max_range=1.2)
         n_pix = scanner.beams * scanner.azimuth_steps
         out = render_full_image(params, self.POSE, scanner, cfg)
-        _, _, depth, intens, drop, _ = render_batch(
-            params, self.POSE, slice(None), scanner, cfg)
+        depth, intens, drop = _render_every_pixel(params, self.POSE, scanner,
+                                                  cfg)
         valid = drop <= 0.5
         assert 0 < valid.sum() < n_pix
         shape = out.shape
@@ -380,8 +388,8 @@ class TestRenderFullImage:
         params = _textured_params(seed=5, hidden_width=cfg.hidden_width)
         n_pix = SMALL_SCANNER.beams * SMALL_SCANNER.azimuth_steps
         assert n_pix * cfg.samples_per_ray > SHARD_SAMPLES
-        _, _, depth, intens, drop, _ = render_batch(
-            params, self.POSE, slice(None), SMALL_SCANNER, cfg)
+        depth, intens, drop = _render_every_pixel(params, self.POSE,
+                                                  SMALL_SCANNER, cfg)
         valid = drop <= 0.5
         assert 0 < valid.sum() < n_pix
         shape = (SMALL_SCANNER.beams, SMALL_SCANNER.azimuth_steps)
