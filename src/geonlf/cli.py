@@ -92,12 +92,14 @@ def cmd_gen(args) -> int:
 
 def cmd_register(args) -> int:
     cfg = _load_config(args)
+    steps = args.steps if args.steps is not None else cfg["geo.steps"]
+    if steps < 0:
+        raise ConfigError(f"geo.steps must be >= 0, got {steps}")
     data = Path(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     clouds = _read_clouds(data)
     init = read_trajectory(data / "init_traj.txt")
-    steps = int(args.steps) if args.steps is not None else cfg["geo.steps"]
 
     if steps == 0:
         est = init.copy()
@@ -239,6 +241,14 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _count(raw: str) -> int:
+    """argparse type of a count: an integer >= 0."""
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common(sub, data_arg=True, config=True, seed=False):
     if data_arg:
         sub.add_argument("data", help="dataset directory produced by `gen`")
@@ -269,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     reg = subs.add_parser("register", help="pure geometric registration")
-    reg.add_argument("--steps", type=int, default=None)
+    reg.add_argument("--steps", type=_count, default=None,
+                     help="geometric steps; overrides geo.steps")
     _add_common(reg)
     reg.set_defaults(func=cmd_register)
 

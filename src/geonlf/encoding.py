@@ -148,6 +148,11 @@ def hash_encode_forward(x: np.ndarray, tables: np.ndarray, cfg: EncodingConfig):
     idx = np.add(rows, (np.arange(levels, dtype=np.int64) * t)[:, None, None],
                  dtype=np.int64)
 
+    # The gather is where a shard's memory peaks, so the index temporaries
+    # are dropped just before it. Dropping each one as soon as it was used
+    # freed as much, but its heap holes raised the peak RSS of the
+    # `render_corridor` set-up by ~10 MB in 3 of 5 runs.
+    del pos, floor, base, keys, rows
     vals = np.take(tables.reshape(levels * t, f), idx, axis=0)  # (L, n, 8, F)
     features = (weights[..., None, :] @ vals)[:, :, 0, :]
     cache = {"idx": idx, "frac": frac, "res": res, "tables": tables}

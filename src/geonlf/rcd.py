@@ -39,7 +39,8 @@ from .cloud import PointCloud
 from .errors import DegenerateNeighborhood, EmptyCloud, EmptyList, TooFewFrames
 from .geometry import Se3Param, so3_exp, so3_left_jacobian
 from .optim import Adam, exp_decay
-from .spatial import KdTree, normals_at, pool_map, voxel_downsample
+from .spatial import (KdTree, NearestCache, normals_at, pool_map,
+                      voxel_downsample)
 
 
 @dataclass
@@ -201,10 +202,11 @@ class _PosedFrame:
         self.rotated = cloud.points @ self.rot.T
         self.world = self.rotated + pose.rho
 
-    def to_sensor(self, world: np.ndarray) -> np.ndarray:
+    def to_sensor(self, world: np.ndarray, out: np.ndarray) -> np.ndarray:
         """World points in this frame's sensor coordinates, where its
-        kd-tree was built (rigid transforms preserve distances)."""
-        return (world - self.pose.rho) @ self.rot
+        kd-tree was built (rigid transforms preserve distances), written
+        to `out`."""
+        return np.matmul(world - self.pose.rho, self.rot, out=out)
 
 
 def _direction_terms(src: _PosedFrame, dst: _PosedFrame, idx: np.ndarray,
@@ -261,34 +263,51 @@ def _edge_terms(p: _PosedFrame, q: _PosedFrame, idx_pq: np.ndarray,
     return loss_pq + loss_qp, grad_p, grad_q
 
 
-def _graph_correspondences(frames: list[_PosedFrame], graph: FrameGraph,
-                           trees: list[KdTree]) -> Iterator[dict]:
-    """Nearest neighbors for both directions of every edge, with one kd-tree
-    query per destination frame: the points of all its graph neighbors are
-    stacked into one batch. Each neighbor's block is formed on its own, as
-    a query for that edge alone would form it, so the indices are the same
-    as per-edge queries. The queries run as `pool_map` tasks in frame
-    order; yields each frame's {(src, dst): indices into dst's cloud} in
-    that order, as they land.
-    """
+def _sources(graph: FrameGraph) -> dict[int, list[int]]:
+    """For each frame, its graph neighbors in edge order: the frames whose
+    points are matched into it."""
     sources: dict[int, list[int]] = {}
     for i, j in graph.edges:
         sources.setdefault(j, []).append(i)
         sources.setdefault(i, []).append(j)
+    return sources
+
+
+def _graph_correspondences(frames: list[_PosedFrame], graph: FrameGraph,
+                           trees: list[KdTree],
+                           caches: dict[int, NearestCache] | None
+                           ) -> Iterator[dict]:
+    """Nearest neighbors for both directions of every edge, with one query
+    per destination frame: the points of all its graph neighbors are
+    stacked into one batch. Each neighbor's block is formed on its own, as
+    a query for that edge alone would form it, so the indices are the same
+    as per-edge queries. With `caches`, each frame's batch goes through
+    its `NearestCache`, which returns the indices a fresh query returns.
+    The queries run as `pool_map` tasks in frame order; yields each frame's
+    {(src, dst): indices into dst's cloud} in that order, as they land.
+    """
+    sources = _sources(graph)
 
     def query(dst: int) -> dict:
         srcs = sources[dst]
-        blocks = [frames[dst].to_sensor(frames[s].world) for s in srcs]
-        idx, _ = trees[dst].query_many(np.concatenate(blocks))
-        bounds = np.cumsum([len(b) for b in blocks])[:-1]
-        return {(s, dst): part for s, part in zip(srcs, np.split(idx, bounds))}
+        bounds = np.cumsum([len(frames[s].world) for s in srcs])
+        batch = np.empty((bounds[-1], 3))
+        for s, block in zip(srcs, np.split(batch, bounds[:-1])):
+            frames[dst].to_sensor(frames[s].world, out=block)
+        if caches is None:
+            idx, _ = trees[dst].query_many(batch)
+        else:
+            idx = caches[dst].query(batch)
+        return {(s, dst): part
+                for s, part in zip(srcs, np.split(idx, bounds[:-1]))}
 
     return pool_map([partial(query, dst) for dst in sorted(sources)])
 
 
 def graph_loss(clouds: list[PointCloud], poses: list[Se3Param],
                graph: FrameGraph, cfg: RcdConfig, t: float,
-               trees: list[KdTree] | None = None):
+               trees: list[KdTree] | None = None,
+               caches: dict[int, NearestCache] | None = None):
     """Mean robust Chamfer over all graph edges.
 
     Normalized by the edge count; per-frame gradients are
@@ -297,8 +316,10 @@ def graph_loss(clouds: list[PointCloud], poses: list[Se3Param],
     correspondences come from one query per frame, run on the shared pool
     (`_graph_correspondences`); the edges are evaluated on the calling
     thread as soon as both their frames' queries have landed, so the edge
-    math overlaps the later queries. Each query point is answered on its
-    own, so neither the loss nor the gradients depend on the CPU count.
+    math overlaps the later queries. `caches` (GeoSession's) holds one
+    `NearestCache` per frame over the trees, for the batch of that frame's
+    queries; a cache returns what a fresh query returns. Neither the loss
+    nor the gradients depend on the CPU count or on the calls before.
     Clouds with normals on both sides use the point-to-plane blend, any
     other pair point-to-point (see the module docstring).
     Returns (loss, grads) with grads an (M, 6) array.
@@ -311,7 +332,7 @@ def graph_loss(clouds: list[PointCloud], poses: list[Se3Param],
     if trees is None:
         trees = [KdTree(c.points) for c in clouds]
     frames = [_PosedFrame(c, p) for c, p in zip(clouds, poses)]
-    landed = _graph_correspondences(frames, graph, trees)
+    landed = _graph_correspondences(frames, graph, trees, caches)
     pairs: dict = {}
     denom = float(len(graph.edges))
     grads = np.zeros((graph.num_frames, 6))
@@ -364,9 +385,13 @@ class GeoSession:
     is gauge-fixed (never updated).
 
     Each frame's surface cloud is prepared as its own `pool_map` task, and
-    every step's correspondence queries run on the same pool (`graph_loss`);
-    both are computed frame by frame, so the clouds, normals and steps do
-    not depend on the CPU count.
+    every step's correspondence queries run on the same pool (`graph_loss`).
+    Each frame keeps a `spatial.NearestCache` over the stacked points of
+    its graph neighbors, allocated here once: a step reuses a point's
+    nearest neighbor only where a bound proves it equal to a fresh
+    query's, and queries the others. The clouds, normals and steps are
+    computed frame by frame and depend neither on the steps before nor on
+    the CPU count.
     """
 
     def __init__(self, clouds: list[PointCloud], graph: FrameGraph,
@@ -376,12 +401,15 @@ class GeoSession:
         self.clouds = list(pool_map([partial(_surface_cloud, c, cfg.voxel_size)
                                      for c in clouds]))
         self.trees = [KdTree(c.points) for c in self.clouds]
+        self.caches = {dst: NearestCache(self.trees[dst],
+                                         sum(len(self.clouds[s]) for s in srcs))
+                       for dst, srcs in _sources(graph).items()}
         self.adam = Adam()
 
     def step(self, poses: list[Se3Param], t: float, lr_rot: float,
              lr_trans: float) -> float:
         loss, grads = graph_loss(self.clouds, poses, self.graph, self.cfg, t,
-                                 trees=self.trees)
+                                 trees=self.trees, caches=self.caches)
         for f, pose in enumerate(poses[1:], start=1):
             self.adam.step(f"pose{f}.rho", pose.rho, grads[f, :3], lr=lr_trans)
             self.adam.step(f"pose{f}.phi", pose.phi, grads[f, 3:], lr=lr_rot)

@@ -269,6 +269,23 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and key.split(".")[1] in err
 
+    def test_negative_steps_is_a_usage_error(self, dataset, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["register", str(dataset), "--steps", "-3",
+                  "--out", str(tmp_path / "reg")])
+        assert exc.value.code == 2
+        assert "--steps: must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "reg").exists()
+
+    def test_negative_config_steps_exit_1(self, dataset, tmp_path, capsys):
+        bad = tmp_path / "steps.cfg"
+        bad.write_text("geo.steps = -3\n")
+        rc = main(["register", str(dataset), "--config", str(bad),
+                   "--out", str(tmp_path / "reg")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: geo.steps must be >= 0, got -3\n"
+        assert not (tmp_path / "reg").exists()
+
     def test_scanner_of_another_shape_exit_1(self, dataset, tmp_path_factory,
                                              capsys):
         # The dataset's scans are 16 x 120; an 8-beam scanner's pixel grid

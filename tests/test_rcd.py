@@ -366,22 +366,22 @@ class TestGraphLoss:
                        RcdConfig(), 0.0)
 
 
-def _corridor_scans():
-    """The 4-frame test corridor seen by a 16 x 120 scanner: (sensor-frame
-    clouds, ground-truth trajectory)."""
+def _test_scans(preset: str = "corridor"):
+    """4 frames of a preset (the test corridor by default) seen by a
+    16 x 120 scanner: (sensor-frame clouds, ground-truth trajectory)."""
     scanner = ScannerConfig(beams=16, azimuth_steps=120, max_range=1.2,
                             drop_prob=0.02)
-    scene = make_scene("corridor", 0)
-    gt = make_trajectory("corridor", 4, 0)
+    scene = make_scene(preset, 0)
+    gt = make_trajectory(preset, 4, 0)
     clouds = [unproject(lidar_scan(scene, gt.poses[i], scanner, seed=i)[0],
                         scanner) for i in range(4)]
     return clouds, gt
 
 
 def _corridor_session():
-    """`_corridor_scans` with voxel 0.02 and window 3: (GeoSession,
+    """`_test_scans` with voxel 0.02 and window 3: (GeoSession,
     ground-truth trajectory)."""
-    clouds, gt = _corridor_scans()
+    clouds, gt = _test_scans()
     return GeoSession(clouds, build_graph(4, 3), RcdConfig(voxel_size=0.02)), gt
 
 
@@ -428,7 +428,7 @@ class TestCpuCountInvariance:
 
     @pytest.fixture(scope="class")
     def scans(self):
-        clouds, gt = _corridor_scans()
+        clouds, gt = _test_scans()
         return clouds, perturb_poses(gt, 3.0, 0.05, 2)
 
     @pytest.fixture(autouse=True)
@@ -479,15 +479,21 @@ class TestCpuCountInvariance:
             np.testing.assert_array_equal(got[1], want[1],
                                           err_msg=f"{cpus} CPUs")
 
-    def test_five_geo_steps(self, scans, set_cpus):
+    def test_five_geo_steps(self, scans, set_cpus, cache_audit):
+        # The steps after the first reuse cached nearest neighbors.
         clouds, init = scans
 
         def run():
             losses = []
+            answered = sum(cache_audit.answered)
+            requeried = sum(cache_audit.requeried)
             out = geo_optimize(clouds,
                                [Se3Param.from_matrix(p) for p in init.poses],
                                build_graph(4, 3), RcdConfig(voxel_size=0.02),
                                5, 5e-3, 1e-3, loss_log=losses)
+            reused = ((sum(cache_audit.answered) - answered)
+                      - (sum(cache_audit.requeried) - requeried))
+            assert reused > 0
             return np.array([np.concatenate([p.rho, p.phi]) for p in out]), losses
 
         for cpus, want, got in self._for_each_cpu_count(set_cpus, run):
@@ -511,6 +517,27 @@ class TestCpuCountInvariance:
             for pose, ref in zip(got, chain):
                 np.testing.assert_array_equal(pose, ref,
                                               err_msg=f"{cpus} CPUs")
+
+
+class TestCachedCorrespondences:
+    """`GeoSession` keeps each frame's nearest neighbors from step to step
+    where a bound proves them unchanged (`spatial.NearestCache`); every
+    step's indices must equal fresh `KdTree.query_many` ones, which
+    `cache_audit` checks on every query."""
+
+    @pytest.mark.parametrize("preset", ["corridor", "low_overlap"])
+    def test_twenty_geo_steps_equal_fresh_queries(self, preset, cache_audit):
+        clouds, gt = _test_scans(preset)
+        init = perturb_poses(gt, 5.0, 0.1, 1)
+        geo_optimize(clouds, [Se3Param.from_matrix(p) for p in init.poses],
+                     build_graph(4, 3), RcdConfig(voxel_size=0.02), 20,
+                     5e-3, 1e-3)
+        answered = sum(cache_audit.answered)
+        requeried = sum(cache_audit.requeried)
+        first_step = answered / 20
+        # both paths: points reused, and points queried after the first step
+        assert first_step < requeried < answered
+        assert len(cache_audit.answered) == 20 * 4
 
 
 class TestGroundTruthStationary:

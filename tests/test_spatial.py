@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from geonlf.cloud import PointCloud
 from geonlf.errors import DegenerateNeighborhood, EmptyCloud, NonPositiveVoxel
-from geonlf.spatial import (KdTree, estimate_normals, normals_at, pool_map,
+from geonlf.spatial import (CACHE_CANDIDATES, KdTree, NearestCache,
+                            estimate_normals, normals_at, pool_map,
                             voxel_downsample)
 from oracles import linear_scan_nearest, unique_voxel_downsample, voxel_groups
 
@@ -135,6 +136,76 @@ class TestKdTree:
     def test_empty_raises(self):
         with pytest.raises(EmptyCloud):
             KdTree(np.zeros((0, 3)))
+
+
+class TestNearestCache:
+    """A cache answers what a fresh `query_many` answers (`cache_audit`
+    compares every call), however far its points moved since it last
+    queried them."""
+
+    @staticmethod
+    def _walk(tree, batches):
+        """Feed the batches to one cache; return the brute-force nearest
+        indices of every batch, the lowest index among equals, next to the
+        cache's answers."""
+        cache = NearestCache(tree, len(batches[0]))
+        for queries in batches:
+            got = cache.query(queries)
+            d2 = ((queries[:, None, :] - tree.points[None]) ** 2).sum(axis=2)
+            yield got, d2.argmin(axis=1)
+
+    def test_random_walk(self, cache_audit):
+        rng = np.random.default_rng(7)
+        tree = KdTree(rng.uniform(size=(500, 3)))
+        queries = rng.uniform(size=(300, 3))
+        batches = []
+        for step in range(30):
+            scale = 1e-3 if step % 5 else 5e-2
+            queries = queries + rng.normal(0.0, scale, size=queries.shape)
+            batches.append(queries)
+        for got, want in self._walk(tree, batches):
+            np.testing.assert_array_equal(got, want)
+        assert sum(cache_audit.answered) == 30 * 300
+        # the first call queries every point; later ones reuse most
+        assert 300 < sum(cache_audit.requeried) < 30 * 300 / 2
+
+    def test_grid_ties_keep_lowest_index(self, cache_audit):
+        # Dyadic coordinates make the distances exact and the ties real.
+        # Queries start on 2-, 4- and 8-way ties (half-integer
+        # coordinates) or off them (quarters), then step by 2^-30 off and
+        # back onto them.
+        rng = np.random.default_rng(12)
+        axis = np.arange(8.0)
+        pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+        tree = KdTree(pts[rng.permutation(len(pts))])
+        start = (rng.integers(0, 7, size=(400, 3))
+                 + rng.choice([0.0, 0.25, 0.5], size=(400, 3)))
+        batches = [start]
+        for step in range(20):
+            nudge = rng.choice([-1.0, 0.0, 1.0], size=start.shape) * 2.0 ** -30
+            batches.append(start + (nudge if step % 2 else 0.0))
+        tied = 0
+        for (got, want), queries in zip(self._walk(tree, batches),
+                                        batches):
+            np.testing.assert_array_equal(got, want)
+            d2 = ((queries[:, None, :] - tree.points[None]) ** 2).sum(axis=2)
+            tied += int(((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1)
+                         > 1).sum())
+        assert tied > 0
+        assert 400 < sum(cache_audit.requeried) < 21 * 400
+
+    @pytest.mark.parametrize("size", range(1, CACHE_CANDIDATES + 1))
+    def test_tree_of_at_most_k_points(self, size, cache_audit):
+        # Every point is a candidate, so reach is infinite.
+        rng = np.random.default_rng(size)
+        tree = KdTree(rng.uniform(size=(size, 3)))
+        queries = rng.uniform(-1.0, 2.0, size=(200, 3))
+        batches = [queries + step * rng.normal(0.0, 0.3, size=(200, 3))
+                   for step in range(10)]
+        for got, want in self._walk(tree, batches):
+            np.testing.assert_array_equal(got, want)
+        assert sum(cache_audit.requeried) < 2 * 200
 
 
 class TestVoxelDownsample:
