@@ -21,7 +21,7 @@ from scipy.special import expit
 
 from .encoding import (EncodingConfig, encode_backward, encode_forward,
                        table_scatters)
-from .errors import ShapeMismatch, TapeMissing
+from .errors import ConfigError, ShapeMismatch, TapeMissing
 from .geometry import Se3Param, so3_exp, so3_left_jacobian
 from .spatial import pool_map
 
@@ -163,7 +163,7 @@ def _composite_backward(g_w: np.ndarray, weights: np.ndarray,
 
 
 # Samples per shard: every render (`render_rays`, `render_forward`) is cut
-# into runs of this many samples (256 rays at 64 per ray), which run on the
+# into runs of this many samples (512 rays at 32 per ray), which run on the
 # shared pool (`spatial.pool_map`). The size is fixed, not a share of the
 # CPU count, so every machine does the same arithmetic: OpenBLAS rounds the
 # (n x 32) @ (32 x 3) heads GEMM differently below about 12k rows (its
@@ -279,17 +279,25 @@ def _shards(n: int, num_samples: int) -> list[_Shard]:
     return [_Shard(slice(lo, min(lo + rays, n))) for lo in range(0, n, rays)]
 
 
-def _sample_distances(t_near: float, t_far: float, num_samples: int,
-                      jitter, dtype: np.dtype):
-    """Stratified sample distances and their spacings (the last one runs to
-    t_far). `jitter` in [0, 1) is the offset within each stratum: (n, N)
-    gives (n, N) rows, the scalar 0.5 one (N,) row of midpoints that every
-    ray shares, with the same values."""
-    frac = (np.arange(num_samples) + jitter) / num_samples
-    ts = (t_near + frac * (t_far - t_near)).astype(dtype)
-    delta = np.diff(ts, axis=-1)
-    return ts, np.concatenate([delta, dtype.type(t_far) - ts[..., -1:]],
-                              axis=-1)
+def strata(t_near: float, t_far: float, num_strata: int,
+           jitter) -> np.ndarray:
+    """One float64 distance in each of `num_strata` equal strata of
+    [t_near, t_far): t_near + (i + jitter_i) / num_strata * (t_far - t_near).
+    `jitter` in [0, 1) is the offset within each stratum: (n, num_strata)
+    gives (n, num_strata) rows, the scalar 0.5 one row of midpoints. Every
+    sampler starts here, so an empty or reversed range is a ConfigError
+    here."""
+    if not t_near < t_far:
+        raise ConfigError(f"empty sampling range: t_near {t_near} is not "
+                          f"below max_range {t_far}")
+    frac = (np.arange(num_strata) + jitter) / num_strata
+    return t_near + frac * (t_far - t_near)
+
+
+def _spacings(ts: np.ndarray, t_far: float) -> np.ndarray:
+    """The spacings of sorted sample distances; the last runs to t_far."""
+    return np.concatenate([np.diff(ts, axis=-1),
+                           ts.dtype.type(t_far) - ts[..., -1:]], axis=-1)
 
 
 def _forward(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
@@ -318,20 +326,20 @@ def _forward(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
 
 
 def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
-                t_near: float, t_far: float, num_samples: int,
-                pose_phi: np.ndarray, alpha: float | None = None,
-                rng: np.random.Generator | None = None):
-    """Batched volume rendering of depth / intensity / ray-drop, recorded
-    for `backward`.
+                ts: np.ndarray, t_far: float, num_samples: int,
+                pose_phi: np.ndarray, alpha: float | None = None):
+    """Batched volume rendering of depth / intensity / ray-drop at the
+    sample distances `ts`, recorded for `backward`.
 
-    Samples are stratified uniform in [t_near, t_far], one range for every
-    ray (deterministic strata midpoints when rng is None); the whole
-    batch's jitter is drawn before anything else. Positions outside the
-    unit cube are clamped for the encoders; clamped coordinates pass no
-    gradient back to the pose. `pose_phi` is the rotation of the pose the
-    rays came from (`pose_rays`); `backward` needs it for the rotation
-    block of the pose gradient. Returns (depth, intensity, drop_prob,
-    tape).
+    `ts` is (n, num_samples), each row sorted and inside [t_near, t_far]:
+    the caller samples (`trainer.render_step` through
+    `trainer.sample_distances`). Each sample's spacing runs to the next
+    one, the last to t_far. Positions outside the unit cube are clamped
+    for the encoders; clamped coordinates pass no gradient back to the
+    pose, and neither do the distances. `pose_phi` is the rotation of the
+    pose the rays came from (`pose_rays`); `backward` needs it for the
+    rotation block of the pose gradient. Returns (depth, intensity,
+    drop_prob, tape).
 
     The rays are cut into shards of SHARD_SAMPLES samples, which render as
     tasks of `spatial.pool_map`, one thread per usable CPU. Each ray is
@@ -345,10 +353,11 @@ def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
     origins = np.atleast_2d(np.asarray(origins, dtype=dtype))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=dtype))
     n = origins.shape[0]
-
-    jitter = (np.full((n, num_samples), 0.5) if rng is None
-              else rng.random((n, num_samples)))
-    ts, delta = _sample_distances(t_near, t_far, num_samples, jitter, dtype)
+    ts = np.asarray(ts, dtype=dtype)
+    if ts.shape != (n, num_samples):
+        raise ShapeMismatch(f"sample distances of shape {ts.shape} for "
+                            f"{n} rays of {num_samples} samples")
+    delta = _spacings(ts, t_far)
 
     sigma, s_vals, l_vals, weights = (np.empty((n, num_samples), dtype)
                                       for _ in range(4))
@@ -372,20 +381,23 @@ def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
 def render_forward(params: FieldParams, origins: np.ndarray,
                    dirs: np.ndarray, t_near: float, t_far: float,
                    num_samples: int):
-    """Forward-only render at the strata midpoints with every encoding
-    level active: (depth, intensity, drop_prob), equal bit for bit to
-    those of `render_rays` with rng None.
+    """Forward-only render at the midpoints of `num_samples` equal strata
+    of [t_near, t_far], with every encoding level active: (depth,
+    intensity, drop_prob), equal bit for bit to those of `render_rays` at
+    the same midpoints (`strata(t_near, t_far, num_samples, 0.5)` in every
+    row).
 
     The shards are those of `render_rays`, all in one `spatial.pool_map`.
     A shard keeps nothing for a reverse pass: it writes its rays' three
-    outputs and frees the rest, and every shard reads one (N,) row of
-    sample distances, so peak memory does not grow with the ray count.
+    outputs and frees the rest, and every shard reads one shared (N,) row
+    of sample distances, so peak memory does not grow with the ray count.
     """
     dtype = params.dtype
     origins = np.atleast_2d(np.asarray(origins, dtype=dtype))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=dtype))
     n = origins.shape[0]
-    ts, delta = _sample_distances(t_near, t_far, num_samples, 0.5, dtype)
+    ts = strata(t_near, t_far, num_samples, 0.5).astype(dtype)
+    delta = _spacings(ts, t_far)
     depth, intensity, drop_logit = np.empty(n), np.empty(n), np.empty(n)
 
     def render(r: slice) -> None:

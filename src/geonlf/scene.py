@@ -36,6 +36,10 @@ class ScannerConfig:
             raise ValueError("scanner needs at least 2 beams and 2 azimuth steps")
         if self.fov_up_deg <= self.fov_down_deg:
             raise ValueError("fov_up_deg must exceed fov_down_deg")
+        if self.max_range <= 0.0:
+            raise ValueError("max_range must be > 0")
+        if not 0.0 <= self.drop_prob <= 1.0:
+            raise ValueError("drop_prob must be in [0, 1]")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -19,7 +19,7 @@ from .encoding import EncodingConfig
 from .errors import (DegenerateNeighborhood, EmptyBatch, EmptyCloud,
                      FrameMismatch, NonFiniteLoss, ShapeMismatch, TooFewFrames)
 from .field import (PARAM_NAMES, FieldParams, backward, pose_rays,
-                    render_forward, render_rays)
+                    render_forward, render_rays, strata)
 from .formats import loss_row
 from .geometry import Se3Param, Trajectory, se3_decoupled
 from .optim import Adam, exp_decay
@@ -32,7 +32,7 @@ from .spatial import NORMAL_NEIGHBORS, KdTree, estimate_normals
 class TrainConfig:
     iterations: int = 2000
     rays_per_batch: int = 1024
-    samples_per_ray: int = 64
+    samples_per_ray: int = 32
     t_near: float = 0.05
     graph_window: int = 4
     lr_field_start: float = 1e-2
@@ -69,6 +69,8 @@ class TrainConfig:
             raise ValueError("need 0 <= c2f_start < c2f_end <= 1")
         if not 0.0 < self.w0_start <= 1.0:
             raise ValueError("w0_start must be in (0, 1]")
+        if self.t_near < 0.0:
+            raise ValueError("t_near must be >= 0")
         for name in ("m1", "samples_per_ray", "rays_per_batch",
                      "graph_window"):
             if getattr(self, name) < 1:
@@ -249,16 +251,46 @@ def _flat_target(img: RangeImage, scanner: ScannerConfig):
             img.drop_mask().reshape(-1), img.valid.reshape(-1))
 
 
+def sample_distances(t_near: float, t_far: float, observed: np.ndarray,
+                     valid: np.ndarray, jitter: np.ndarray) -> np.ndarray:
+    """The (n, N) sorted float64 sample distances of n rays in
+    [t_near, t_far], N = jitter.shape[1], each sample offset in its
+    stratum by the matching entry of `jitter` (in [0, 1)).
+
+    A ray whose pixel is `valid` spends half its samples where its
+    `observed` range puts the surface: ceil(N / 2) strata over
+    [t_near, t_far], and N // 2 strata of one band as wide as one of
+    those, centred on the observed range and shifted to stay inside
+    [t_near, t_far]. Any other ray gets N strata over [t_near, t_far].
+    The distances depend on the target and the jitter only, never on the
+    pose.
+    """
+    num_samples = jitter.shape[1]
+    ts = strata(t_near, t_far, num_samples, jitter)
+    n_band = num_samples // 2
+    n_wide = num_samples - n_band
+    if n_band:
+        width = (t_far - t_near) / n_wide
+        lo = np.clip(observed[valid] - 0.5 * width, t_near, t_far - width)
+        ts[valid] = np.sort(np.concatenate(
+            [strata(t_near, t_far, n_wide, jitter[valid, :n_wide]),
+             lo[:, None] + strata(0.0, width, n_band,
+                                  jitter[valid, n_wide:])], axis=1), axis=1)
+    return ts
+
+
 def render_step(params: FieldParams, pose: Se3Param, target,
                 scanner: ScannerConfig, cfg: TrainConfig,
                 alpha: float | None, rng: np.random.Generator,
                 field_grads: bool, chamfer: bool = False):
-    """The objective at one pose: draw a batch of pixels, render them
-    from `pose` with strata jittered by `rng`, score them against the flat
-    `target` with `render_loss`, and run the reverse pass. Training and
-    registration render a pose only here. With `field_grads` the field
-    gradients are zeroed and filled; without, the field is frozen and
-    params.grads is not touched.
+    """The objective at one pose: draw a batch of pixels, sample their rays
+    with `sample_distances` (jittered by one (n, N) draw of `rng` right
+    after the pixel draw; bands around the target ranges of valid pixels),
+    render them from `pose`, score them against the flat `target` with
+    `render_loss`, and run the reverse pass. Training and registration
+    render a pose only here. With `field_grads` the field gradients are
+    zeroed and filled; without, the field is frozen and params.grads is
+    not touched.
 
     With `chamfer`, the batch's valid pixels also give two clouds, placed
     at `pose`: the synthesized points (rendered depth) and the observed
@@ -273,16 +305,18 @@ def render_step(params: FieldParams, pose: Se3Param, target,
     """
     n = len(scanner.directions)
     pix = rng.choice(n, size=min(cfg.rays_per_batch, n), replace=False)
+    batch = tuple(t[pix] for t in target)
+    valid = batch[3]
+    ts = sample_distances(cfg.t_near, scanner.max_range, batch[0], valid,
+                          rng.random((len(pix), cfg.samples_per_ray)))
     origins, dirs = pose_rays(pose, scanner.directions[pix])
     depth, intens, drop, tape = render_rays(
-        params, origins, dirs, cfg.t_near, scanner.max_range,
-        cfg.samples_per_ray, pose.phi, alpha=alpha, rng=rng)
-    batch = tuple(t[pix] for t in target)
+        params, origins, dirs, ts, scanner.max_range, cfg.samples_per_ray,
+        pose.phi, alpha=alpha)
     loss, comps, (gd, gi, gp) = render_loss(
         (depth, intens, drop), batch,
         cfg.lambda_depth, cfg.lambda_intensity, cfg.lambda_raydrop)
     comps["cd"] = comps["normal"] = 0.0
-    valid = batch[3]
     # A normal estimate needs more than NORMAL_NEIGHBORS points per cloud.
     if chamfer and valid.sum() > NORMAL_NEIGHBORS:
         o, d = origins[valid], dirs[valid]
@@ -389,14 +423,16 @@ def train(images: list[RangeImage], init_poses: Trajectory,
 
 def render_full_image(params: FieldParams, pose: Se3Param,
                       scanner: ScannerConfig, cfg: TrainConfig) -> RangeImage:
-    """Deterministic (midpoint-sampled) render of every pixel with every
-    encoding level active; pixels with drop probability above 0.5 are
-    marked invalid.
+    """Deterministic render of every pixel with every encoding level
+    active, at the midpoints of cfg.samples_per_ray equal strata of
+    [t_near, max_range] on every ray: no target range is known here, so
+    there is no band. Pixels with drop probability above 0.5 are marked
+    invalid.
 
     The whole image is one `field.render_forward`: one pool map of
     fixed-size shards that keep no reverse-pass state, so peak memory does
     not grow with the image size, and the image neither depends on the CPU
-    count nor differs from one `render_rays` of every pixel at strata
+    count nor differs from one `render_rays` of every pixel at those
     midpoints, bit for bit.
     """
     h, w = scanner.shape

@@ -86,6 +86,16 @@ def se3_full_exp(xi):
     return t
 
 
+def uniform_distances(n, t_near, t_far, num_samples, rng=None):
+    """(n, num_samples) sample distances in equal strata of
+    [t_near, t_far]: the midpoints, or offsets from one
+    rng.random((n, num_samples)) draw."""
+    jitter = 0.5 if rng is None else rng.random((n, num_samples))
+    frac = (np.arange(num_samples) + jitter) / num_samples
+    return np.broadcast_to(t_near + frac * (t_far - t_near),
+                           (n, num_samples))
+
+
 def linear_scan_nearest(points, query):
     """Exact nearest neighbor with the lowest-index tie rule."""
     d2 = ((points - query) ** 2).sum(axis=1)

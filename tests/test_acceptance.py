@@ -29,7 +29,7 @@ from geonlf.trainer import (TrainConfig, FrameLossTracker, reweight_factor,
                             render_loss, select_outliers, train)
 from oracles import (brute_chamfer, brute_fscore, edge_chamfer,
                      graph_denominator, numeric_gradient, se3_full_exp,
-                     series_se3_exp)
+                     series_se3_exp, uniform_distances)
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -173,7 +173,8 @@ def test_criterion_4_gradient_checks():
 
     def forward():
         origins, dirs = pose_rays(Se3Param(pose.rho + 0.5, pose.phi), d)
-        return render_rays(params, origins, dirs, 0.1, 0.35, 6,
+        return render_rays(params, origins, dirs,
+                           uniform_distances(4, 0.1, 0.35, 6), 0.35, 6,
                            alpha=None, pose_phi=pose.phi)
 
     def loss_value():
@@ -260,8 +261,9 @@ def test_criterion_8_selective_reweighting():
 
     def batch():
         params.zero_grads()
-        dep, intens, drop, tape = render_rays(params, origins, dirs, 0.05,
-                                              0.6, 16, pose_phi=pose.phi)
+        dep, intens, drop, tape = render_rays(
+            params, origins, dirs, uniform_distances(64, 0.05, 0.6, 16), 0.6,
+            16, pose_phi=pose.phi)
         tgt = (dep + 0.1, intens - 0.05, drop * 0.0 + 0.4, np.ones(64, bool))
         _, _, (gd, gi, gp) = render_loss((dep, intens, drop), tgt, 1.0, 1.0, 0.5)
         pg = backward(tape, gd, gi, gp)

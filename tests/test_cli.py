@@ -286,6 +286,31 @@ class TestErrors:
         assert capsys.readouterr().err == "error: geo.steps must be >= 0, got -3\n"
         assert not (tmp_path / "reg").exists()
 
+    def test_empty_sampling_range_exit_1(self, dataset, tmp_path_factory,
+                                         capsys):
+        # The small config's max_range is 1.2.
+        cfg = _small_cfg(tmp_path_factory)
+        cfg.write_text(cfg.read_text() + "train.t_near = 5.0\n")
+        out = tmp_path_factory.mktemp("near")
+        rc = main(["reconstruct", str(dataset), "--out", str(out),
+                   "--config", str(cfg), "--register-steps", "10"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: empty sampling range") and "t_near" in err
+        assert not (out / "est_traj.txt").exists()
+
+    @pytest.mark.parametrize("key, value", [("max_range", -1.0),
+                                            ("drop_prob", 1.5)])
+    def test_bad_scanner_value_exit_1(self, key, value, tmp_path, capsys):
+        bad = tmp_path / "scanner.cfg"
+        bad.write_text(f"scanner.{key} = {value}\n")
+        rc = main(["gen", "--frames", "3", "--config", str(bad),
+                   "--out", str(tmp_path / "data")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad scanner config: {key} must be")
+        assert not (tmp_path / "data").exists()
+
     def test_scanner_of_another_shape_exit_1(self, dataset, tmp_path_factory,
                                              capsys):
         # The dataset's scans are 16 x 120; an 8-beam scanner's pixel grid

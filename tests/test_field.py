@@ -10,7 +10,7 @@ from geonlf.field import (CHECKPOINT_MAGIC, PARAM_NAMES, FieldParams, backward,
                           composite, pose_rays, render_rays, softplus)
 from geonlf.geometry import Se3Param, so3_exp
 from geonlf.scene import ScannerConfig
-from oracles import numeric_gradient
+from oracles import numeric_gradient, uniform_distances
 
 TINY = EncodingConfig(levels=2, base_resolution=4, growth=1.5,
                       features_per_level=2, hash_table_size=2 ** 8,
@@ -121,10 +121,9 @@ class TestRender:
         params = tiny_params()
         origins = np.full((3, 3), 0.5)
         dirs = np.tile([1.0, 0.0, 0.0], (3, 1))
-        a = render_rays(params, origins, dirs, 0.05, 0.45, 16,
-                        np.zeros(3))[:3]
-        b = render_rays(params, origins, dirs, 0.05, 0.45, 16,
-                        np.zeros(3))[:3]
+        ts = uniform_distances(3, 0.05, 0.45, 16)
+        a = render_rays(params, origins, dirs, ts, 0.45, 16, np.zeros(3))[:3]
+        b = render_rays(params, origins, dirs, ts, 0.45, 16, np.zeros(3))[:3]
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -132,18 +131,18 @@ class TestRender:
         params = tiny_params()
         origins = np.full((2, 3), 0.5)
         dirs = np.tile([0.0, 1.0, 0.0], (2, 1))
-        a = render_rays(params, origins, dirs, 0.05, 0.45, 16, np.zeros(3),
-                        rng=np.random.default_rng(5))[:3]
-        b = render_rays(params, origins, dirs, 0.05, 0.45, 16, np.zeros(3),
-                        rng=np.random.default_rng(5))[:3]
+        a, b = (render_rays(params, origins, dirs,
+                            uniform_distances(2, 0.05, 0.45, 16,
+                                              np.random.default_rng(5)),
+                            0.45, 16, np.zeros(3))[:3] for _ in range(2))
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_render_ray_output_shape(self):
         params = tiny_params()
         depth, intens, drop, tape = render_rays(
-            params, [[0.5, 0.5, 0.5]], [[1.0, 0.0, 0.0]], 0.05, 0.45, 8,
-            np.zeros(3))
+            params, [[0.5, 0.5, 0.5]], [[1.0, 0.0, 0.0]],
+            uniform_distances(1, 0.05, 0.45, 8), 0.45, 8, np.zeros(3))
         assert depth.shape == intens.shape == drop.shape == (1,)
         assert tape.weights.shape == (1, 8)
         assert 0.0 <= drop[0] <= 1.0
@@ -156,8 +155,9 @@ class TestRender:
         origins = rng.uniform(0.3, 0.7, size=(n, 3))
         dirs = rng.normal(size=(n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        _, _, _, tape = render_rays(params, origins, dirs, 0.05, 0.4, 16,
-                                    np.zeros(3), rng=rng)
+        _, _, _, tape = render_rays(
+            params, origins, dirs, uniform_distances(n, 0.05, 0.4, 16, rng),
+            0.4, 16, np.zeros(3))
         assert (tape.weights >= 0).all()
         assert (tape.weights.sum(axis=1) <= 1.0 + 1e-9).all()
 
@@ -179,7 +179,9 @@ class FullGradCheck:
     def _forward(self):
         origins, dirs = pose_rays(
             Se3Param(self.pose.rho + 0.5, self.pose.phi), self.d_sensor)
-        return render_rays(self.params, origins, dirs, self.near, self.far,
+        ts = uniform_distances(len(origins), self.near, self.far,
+                               self.n_samples)
+        return render_rays(self.params, origins, dirs, ts, self.far,
                            self.n_samples, alpha=None,
                            pose_phi=self.pose.phi)
 
@@ -273,8 +275,9 @@ class TestCheckpoint:
         # render agreement
         origins = np.full((2, 3), 0.5)
         dirs = np.tile([1.0, 0.0, 0.0], (2, 1))
-        a = render_rays(params, origins, dirs, 0.05, 0.4, 8, np.zeros(3))[0]
-        b = render_rays(loaded, origins, dirs, 0.05, 0.4, 8, np.zeros(3))[0]
+        ts = uniform_distances(2, 0.05, 0.4, 8)
+        a = render_rays(params, origins, dirs, ts, 0.4, 8, np.zeros(3))[0]
+        b = render_rays(loaded, origins, dirs, ts, 0.4, 8, np.zeros(3))[0]
         np.testing.assert_array_equal(a, b)
 
     def test_loads_layout_with_sinusoidal_levels(self, tmp_path):

@@ -98,6 +98,16 @@ class TestScannerConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.beams = 8
 
+    @pytest.mark.parametrize("max_range", [0.0, -1.0])
+    def test_nonpositive_max_range_rejected(self, max_range):
+        with pytest.raises(ValueError, match="max_range"):
+            ScannerConfig(max_range=max_range)
+
+    @pytest.mark.parametrize("drop_prob", [-0.1, 1.5])
+    def test_drop_prob_outside_unit_interval_rejected(self, drop_prob):
+        with pytest.raises(ValueError, match="drop_prob"):
+            ScannerConfig(drop_prob=drop_prob)
+
 
 class TestLidarScan:
     def test_plane_below_matches_closed_form(self):

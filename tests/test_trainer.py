@@ -7,8 +7,9 @@ import pytest
 from geonlf import field, trainer
 from geonlf.cloud import PointCloud
 from geonlf.encoding import EncodingConfig
-from geonlf.errors import (EmptyBatch, EmptyCloud, FrameMismatch,
-                           NonFiniteLoss, ShapeMismatch, TooFewFrames)
+from geonlf.errors import (ConfigError, EmptyBatch, EmptyCloud,
+                           FrameMismatch, NonFiniteLoss, ShapeMismatch,
+                           TooFewFrames)
 from geonlf.field import (PARAM_NAMES, SHARD_SAMPLES, FieldParams, backward,
                           pose_rays, render_rays)
 from geonlf.geometry import Se3Param, Trajectory, so3_exp
@@ -21,8 +22,9 @@ from geonlf.trainer import (FrameLossTracker, TrainConfig, _flat_target,
                             alternation_ratio, c2f_alpha, cd_loss_3d,
                             normal_loss, register_novel_view,
                             render_full_image, render_loss, render_step,
-                            reweight_factor, select_outliers, train)
-from oracles import brute_chamfer, numeric_gradient
+                            reweight_factor, sample_distances,
+                            select_outliers, train)
+from oracles import brute_chamfer, numeric_gradient, uniform_distances
 
 TINY_ENC = EncodingConfig(levels=3, base_resolution=8, growth=1.6,
                           features_per_level=2, hash_table_size=2 ** 12,
@@ -199,8 +201,100 @@ def _render_every_pixel(params, pose, scanner, cfg):
     """(depth, intensity, drop_prob) of one `render_rays` of every pixel at
     strata midpoints."""
     origins, dirs = pose_rays(pose, scanner.directions)
-    return render_rays(params, origins, dirs, cfg.t_near, scanner.max_range,
+    ts = uniform_distances(len(origins), cfg.t_near, scanner.max_range,
+                           cfg.samples_per_ray)
+    return render_rays(params, origins, dirs, ts, scanner.max_range,
                        cfg.samples_per_ray, pose.phi)[:3]
+
+
+class TestSampleDistances:
+    """Each training ray's samples: strata over [t_near, t_far], and for
+    a valid pixel half of them in a band around its observed range."""
+
+    NEAR, FAR = 0.05, 1.5
+    WIDTH = (FAR - NEAR) / 16     # a band's width at 32 samples
+
+    def _rows(self, observed, valid, jitter):
+        return sample_distances(self.NEAR, self.FAR, np.asarray(observed),
+                                np.asarray(valid), jitter)
+
+    @pytest.mark.parametrize("samples", [32, 7, 1])
+    def test_rows_sorted_inside_range(self, samples):
+        rng = np.random.default_rng(0)
+        n = 500
+        observed = rng.uniform(-0.2, 1.7, n)
+        ts = self._rows(observed, rng.random(n) < 0.7,
+                        rng.random((n, samples)))
+        assert ts.shape == (n, samples)
+        assert (np.diff(ts, axis=1) >= 0).all()
+        assert (ts >= self.NEAR).all() and (ts <= self.FAR).all()
+
+    @pytest.mark.parametrize("samples", [32, 7])
+    def test_valid_ray_has_half_its_samples_in_its_band(self, samples):
+        rng = np.random.default_rng(1)
+        n = 400
+        n_band = samples // 2
+        width = (self.FAR - self.NEAR) / (samples - n_band)
+        observed = rng.uniform(self.NEAR, self.FAR, n)
+        ts = self._rows(observed, np.ones(n, bool), rng.random((n, samples)))
+        lo = np.clip(observed - width / 2, self.NEAR, self.FAR - width)
+        in_band = (ts >= lo[:, None]) & (ts < lo[:, None] + width)
+        assert (in_band.sum(axis=1) >= n_band).all()
+        # The other samples still cover every wide stratum.
+        wide = np.floor((ts - self.NEAR) / width).astype(int)
+        for row in wide:
+            assert set(range(samples - n_band)) <= set(row)
+
+    @pytest.mark.parametrize("observed, lo", [(0.0, NEAR), (NEAR, NEAR),
+                                              (FAR, FAR - WIDTH),
+                                              (2.0, FAR - WIDTH)])
+    def test_band_at_either_end_keeps_its_width(self, observed, lo):
+        # At the strata midpoints the band's 16 samples sit at
+        # lo + (i + 0.5) / 16 * WIDTH.
+        ts = self._rows([observed], [True], np.full((1, 32), 0.5))[0]
+        band = lo + (np.arange(16) + 0.5) / 16 * self.WIDTH
+        found = np.isclose(ts[:, None], band[None, :], rtol=0, atol=1e-12)
+        assert found.any(axis=0).all()
+
+    def test_dropped_ray_gets_uniform_strata(self):
+        rng = np.random.default_rng(2)
+        jitter = rng.random((3, 32))
+        ts = self._rows([0.4, -1.0, 0.9], [True, False, False], jitter)
+        want = self.NEAR + (np.arange(32) + jitter) / 32 * (self.FAR - self.NEAR)
+        np.testing.assert_array_equal(ts[1:], want[1:])
+        assert not np.array_equal(ts[0], want[0])
+
+    def test_render_step_draws_pixels_then_one_jitter_block(self):
+        # The stream is the one of uniform sampling: a choice of pixels and
+        # one (n, N) draw, whatever the band does with it.
+        images, gt, _ = make_dataset(frames=3)
+        cfg = small_cfg(rays_per_batch=200, samples_per_ray=24)
+        rng = np.random.default_rng(11)
+        render_step(_textured_params(), Se3Param.from_matrix(gt.poses[1]),
+                    _flat_target(images[1], SMALL_SCANNER), SMALL_SCANNER,
+                    cfg, None, rng, False)
+        ref = np.random.default_rng(11)
+        ref.choice(len(SMALL_SCANNER.directions), size=200, replace=False)
+        ref.random((200, 24))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_distances_do_not_depend_on_the_pose(self, monkeypatch):
+        images, gt, _ = make_dataset(frames=3)
+        target = _flat_target(images[1], SMALL_SCANNER)
+        seen = []
+
+        def recording(params, origins, dirs, ts, *args, **kwargs):
+            seen.append(np.array(ts))
+            return render_rays(params, origins, dirs, ts, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "render_rays", recording)
+        pose = Se3Param.from_matrix(gt.poses[1])
+        for shift in (0.0, 0.02):
+            moved = Se3Param(pose.rho + shift, pose.phi + shift)
+            render_step(_textured_params(), moved, target, SMALL_SCANNER,
+                        small_cfg(rays_per_batch=128), None,
+                        np.random.default_rng(4), False)
+        np.testing.assert_array_equal(seen[0], seen[1])
 
 
 class TestShardInvariance:
@@ -211,12 +305,16 @@ class TestShardInvariance:
 
     CPUS = (1, 2, 3, 8)
 
-    @pytest.mark.parametrize("rays", [100, 700])
+    @pytest.mark.parametrize("rays", [100, 1400])
     def test_steps_equal_for_any_cpu_count(self, monkeypatch, set_cpus, rays):
-        # 100 rays are less than one shard; 700 are two shards and a part.
-        assert rays * 64 < SHARD_SAMPLES or (rays * 64) % SHARD_SAMPLES
-        images, gt, _ = make_dataset(frames=3)
+        # 100 rays are less than one shard; 1400 are two shards and a part
+        # of 12,032 samples. At 700 rays the part has 6,016 samples, and the
+        # one-piece reference's heads GEMM then rounds differently from the
+        # part's (OpenBLAS's small-matrix kernel, see field.SHARD_SAMPLES).
         cfg = TrainConfig(rays_per_batch=rays)
+        samples = rays * cfg.samples_per_ray
+        assert samples < SHARD_SAMPLES or samples % SHARD_SAMPLES
+        images, gt, _ = make_dataset(frames=3)
         target = _flat_target(images[1], SMALL_SCANNER)
         pose = Se3Param.from_matrix(gt.poses[1])
         pose.rho += [0.01, -0.01, 0.005]
@@ -559,8 +657,8 @@ class TestSrMechanics:
         def batch_grads():
             params.zero_grads()
             depth, intens, drop, tape = render_rays(
-                params, origins, dirs, 0.05, 0.6, 16, alpha=None,
-                pose_phi=pose.phi)
+                params, origins, dirs, uniform_distances(64, 0.05, 0.6, 16),
+                0.6, 16, alpha=None, pose_phi=pose.phi)
             tgt = (depth + 0.1, intens - 0.05, drop * 0.0 + 0.4,
                    np.ones(64, bool))
             _, _, (gd, gi, gp) = render_loss((depth, intens, drop), tgt,
@@ -585,6 +683,18 @@ def _ate(traj_a: Trajectory, traj_b: Trajectory) -> float:
 
 
 class TestTrainLoop:
+    def test_negative_t_near_rejected(self):
+        with pytest.raises(ValueError, match="t_near"):
+            TrainConfig(t_near=-0.01)
+
+    @pytest.mark.parametrize("t_near", [1.2, 5.0])
+    def test_empty_sampling_range_is_a_config_error(self, t_near):
+        # SMALL_SCANNER's max_range is 1.2: no stratum would run forwards.
+        images, _, init = make_dataset(frames=4)
+        with pytest.raises(ConfigError, match="t_near"):
+            train(images, init, SMALL_SCANNER,
+                  small_cfg(iterations=8, t_near=t_near), enc_cfg=TINY_ENC)
+
     def test_requires_three_frames(self):
         images, gt, init = make_dataset(frames=4)
         with pytest.raises(TooFewFrames):
