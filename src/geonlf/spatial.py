@@ -42,6 +42,7 @@ points of its batch, so results do not depend on the thread count.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 import warnings
@@ -69,6 +70,40 @@ CACHE_CANDIDATES = 4
 CACHE_MARGIN = 1e-9
 # Points re-queried per kd-tree call, which bounds the call's temporaries.
 REQUERY_CHUNK = 4096
+
+
+# glibc malloc keeps freed blocks below M_TRIM_THRESHOLD at the top of a
+# heap, and serves requests below M_MMAP_THRESHOLD from its heaps rather
+# than from fresh mappings. Every render shard and training step frees tens
+# of MB of temporaries; under glibc's default (dynamic) thresholds they went
+# back to the kernel and the next shard faulted them in again. Per
+# steady-state operation (2 CPUs, 10 seeds), minor faults fell from a
+# median of 151k to 62 on `train_corridor`, with system time 0.49 -> 0.02 s,
+# and from 31k to 0 on `render_corridor`; peak RSS rose 0.7-3.8%. Both
+# thresholds are set, because setting either one freezes the dynamic mmap
+# threshold at its 128 KiB start. One malloc arena (MALLOC_ARENA_MAX=1)
+# saved 5-7% of RSS but brought back up to 108k faults per training
+# operation and was slower. The pool's threads reuse their heaps too; the
+# policy is set when the module that owns the pool is imported. It changes
+# where memory comes from, never a number the program computes.
+MMAP_THRESHOLD = 32 * 2 ** 20
+TRIM_THRESHOLD = 64 * 2 ** 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> None:
+    """Set the two malloc thresholds above; a no-op where the C library
+    has no `mallopt` (not glibc)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+_keep_freed_memory()
 
 
 def usable_cpus() -> int:

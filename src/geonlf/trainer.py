@@ -72,7 +72,7 @@ class TrainConfig:
         if self.t_near < 0.0:
             raise ValueError("t_near must be >= 0")
         for name in ("m1", "samples_per_ray", "rays_per_batch",
-                     "graph_window"):
+                     "graph_window", "hidden_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 

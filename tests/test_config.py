@@ -66,13 +66,23 @@ class TestRunConfig:
         ("train.m1", "train"), ("train.samples_per_ray", "train"),
         ("train.rays_per_batch", "train"), ("train.graph_window", "train"),
         ("rcd.voxel_size", "rcd"), ("scanner.beams", "scanner"),
-        ("field.levels", "encoding")])
+        ("train.hidden_width", "train"), ("field.levels", "encoding"),
+        ("field.base_resolution", "encoding"),
+        ("field.features_per_level", "encoding"),
+        ("field.hash_table_size", "encoding"),
+        ("field.planar_resolution", "encoding")])
     def test_typed_view_rejects_zero(self, key, view):
         # Zero parses; the section's own check rejects it when the typed
         # view is built, as a ConfigError rather than a crash later on.
         cfg = RunConfig.parse(f"{key} = 0\n")
         with pytest.raises(ConfigError, match=key.split(".")[1]):
             getattr(cfg, view)()
+
+    def test_single_line_planes_rejected(self):
+        # A 1 x 1 plane has no cell to interpolate in.
+        cfg = RunConfig.parse("field.planar_resolution = 1\n")
+        with pytest.raises(ConfigError, match="planar_resolution"):
+            cfg.encoding()
 
     def test_removed_rcd_keys_rejected(self):
         # The weights are always held fixed and the temperature ramp is
