@@ -95,6 +95,9 @@ def cmd_register(args) -> int:
     steps = args.steps if args.steps is not None else cfg["geo.steps"]
     if steps < 0:
         raise ConfigError(f"geo.steps must be >= 0, got {steps}")
+    for key in ("geo.lr_rot", "geo.lr_trans"):
+        if not cfg[key] > 0.0:
+            raise ConfigError(f"{key} must be > 0, got {cfg[key]}")
     data = Path(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -241,12 +244,16 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _count(raw: str) -> int:
-    """argparse type of a count: an integer >= 0."""
-    value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(kind, low, strict: bool = False):
+    """argparse type of a finite `kind` value >= `low`, or > `low` if
+    `strict`; NaN fails both."""
+    def number(raw: str):
+        value = kind(raw)
+        if value == low and not strict or low < value < float("inf"):
+            return value
+        raise argparse.ArgumentTypeError(
+            f"must be {'>' if strict else '>='} {low}, got {raw}")
+    return number
 
 
 def _add_common(sub, data_arg=True, config=True, seed=False):
@@ -255,7 +262,7 @@ def _add_common(sub, data_arg=True, config=True, seed=False):
     if config:
         sub.add_argument("--config", help="run configuration file")
     if seed:
-        sub.add_argument("--seed", type=int, default=None,
+        sub.add_argument("--seed", type=_at_least(int, 0), default=None,
                          help="overrides train.seed")
     sub.add_argument("--out", default="out", help="output directory")
 
@@ -270,28 +277,28 @@ def build_parser() -> argparse.ArgumentParser:
     gen = subs.add_parser("gen", help="generate a synthetic dataset")
     gen.add_argument("--preset", default="corridor",
                      choices=["corridor", "intersection", "low_overlap"])
-    gen.add_argument("--frames", type=int, default=8)
-    gen.add_argument("--sigma-rot", type=float, default=5.0,
+    gen.add_argument("--frames", type=_at_least(int, 2), default=8)
+    gen.add_argument("--sigma-rot", type=_at_least(float, 0), default=5.0,
                      help="rotation noise stddev, degrees")
-    gen.add_argument("--sigma-trans", type=float, default=0.1,
+    gen.add_argument("--sigma-trans", type=_at_least(float, 0), default=0.1,
                      help="translation noise stddev, scene units")
     _add_common(gen, data_arg=False, seed=True)
     gen.set_defaults(func=cmd_gen)
 
     reg = subs.add_parser("register", help="pure geometric registration")
-    reg.add_argument("--steps", type=_count, default=None,
+    reg.add_argument("--steps", type=_at_least(int, 0), default=None,
                      help="geometric steps; overrides geo.steps")
     _add_common(reg)
     reg.set_defaults(func=cmd_register)
 
     rec = subs.add_parser("reconstruct", help="full training run")
-    rec.add_argument("--register-steps", type=int, default=200,
+    rec.add_argument("--register-steps", type=_at_least(int, 0), default=200,
                      help="pose refinement steps per held-out view")
     _add_common(rec, seed=True)
     rec.set_defaults(func=cmd_reconstruct)
 
     icp = subs.add_parser("baseline-icp", help="sequential pairwise ICP")
-    icp.add_argument("--max-iters", type=int, default=50)
+    icp.add_argument("--max-iters", type=_at_least(int, 0), default=50)
     _add_common(icp, config=False)
     icp.set_defaults(func=cmd_baseline_icp)
 
@@ -303,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--gt-dir", default=None,
                     help="dataset with the scans frame_*.rimg; needs --pred-dir")
     ev.add_argument("--seq", default="seq0")
-    ev.add_argument("--fscore-threshold", type=float, default=0.05)
+    ev.add_argument("--fscore-threshold", type=_at_least(float, 0, True),
+                    default=0.05)
     ev.add_argument("--config", help="run configuration file")
     ev.add_argument("--out", default=None)
     ev.set_defaults(func=cmd_eval)

@@ -1,7 +1,7 @@
 """Neural LiDAR field: hybrid planar+hash encoding, a small MLP with
-density / intensity / ray-drop heads, volume rendering of depth along
-LiDAR rays, and exact reverse-mode gradients for every parameter and for
-the frame pose (through ray origin and direction).
+density / intensity / ray-drop heads, volume rendering of depth along the
+rays and at the sample distances the caller gives, and exact reverse-mode
+gradients for every parameter and for one rigid motion of the rays.
 
 Parameters are stored in a configurable dtype (float32 by default, float64
 for gradient checking). The forward pass and the upstream gradients of the
@@ -21,8 +21,7 @@ from scipy.special import expit
 
 from .encoding import (EncodingConfig, encode_backward, encode_forward,
                        table_scatters)
-from .errors import ConfigError, ShapeMismatch, TapeMissing
-from .geometry import Se3Param, so3_exp, so3_left_jacobian
+from .errors import ShapeMismatch, TapeMissing
 from .spatial import pool_map
 
 CHECKPOINT_MAGIC = b"GNLF"
@@ -187,8 +186,6 @@ class RenderTape:
     arrays, and the encoder and MLP caches shard by shard."""
 
     params: FieldParams
-    n_rays: int
-    n_samples: int
     ts: np.ndarray          # (n, N) sample distances
     delta: np.ndarray       # (n, N)
     sigma: np.ndarray       # (n, N)
@@ -197,7 +194,6 @@ class RenderTape:
     weights: np.ndarray
     drop_prob: np.ndarray   # (n,)
     dirs_world: np.ndarray  # (n, 3)
-    pose_phi: np.ndarray    # (3,) rotation of the pose the rays came from
     shards: list[_Shard]
     consumed: bool = dc_field(default=False)
 
@@ -279,21 +275,6 @@ def _shards(n: int, num_samples: int) -> list[_Shard]:
     return [_Shard(slice(lo, min(lo + rays, n))) for lo in range(0, n, rays)]
 
 
-def strata(t_near: float, t_far: float, num_strata: int,
-           jitter) -> np.ndarray:
-    """One float64 distance in each of `num_strata` equal strata of
-    [t_near, t_far): t_near + (i + jitter_i) / num_strata * (t_far - t_near).
-    `jitter` in [0, 1) is the offset within each stratum: (n, num_strata)
-    gives (n, num_strata) rows, the scalar 0.5 one row of midpoints. Every
-    sampler starts here, so an empty or reversed range is a ConfigError
-    here."""
-    if not t_near < t_far:
-        raise ConfigError(f"empty sampling range: t_near {t_near} is not "
-                          f"below max_range {t_far}")
-    frac = (np.arange(num_strata) + jitter) / num_strata
-    return t_near + frac * (t_far - t_near)
-
-
 def _spacings(ts: np.ndarray, t_far: float) -> np.ndarray:
     """The spacings of sorted sample distances; the last runs to t_far."""
     return np.concatenate([np.diff(ts, axis=-1),
@@ -327,7 +308,7 @@ def _forward(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
 
 def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
                 ts: np.ndarray, t_far: float, num_samples: int,
-                pose_phi: np.ndarray, alpha: float | None = None):
+                alpha: float | None = None):
     """Batched volume rendering of depth / intensity / ray-drop at the
     sample distances `ts`, recorded for `backward`.
 
@@ -336,9 +317,7 @@ def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
     `trainer.sample_distances`). Each sample's spacing runs to the next
     one, the last to t_far. Positions outside the unit cube are clamped
     for the encoders; clamped coordinates pass no gradient back to the
-    pose, and neither do the distances. `pose_phi` is the rotation of the
-    pose the rays came from (`pose_rays`); `backward` needs it for the
-    rotation block of the pose gradient. Returns (depth, intensity,
+    rays, and neither do the distances. Returns (depth, intensity,
     drop_prob, tape).
 
     The rays are cut into shards of SHARD_SAMPLES samples, which render as
@@ -373,19 +352,17 @@ def render_rays(params: FieldParams, origins: np.ndarray, dirs: np.ndarray,
     list(pool_map([partial(render, shard) for shard in shards]))
     drop_prob = expit(drop_logit)
 
-    tape = RenderTape(params, n, num_samples, ts, delta, sigma, s_vals,
-                      l_vals, weights, drop_prob, dirs, pose_phi, shards)
+    tape = RenderTape(params, ts, delta, sigma, s_vals, l_vals, weights,
+                      drop_prob, dirs, shards)
     return depth, intensity, drop_prob, tape
 
 
 def render_forward(params: FieldParams, origins: np.ndarray,
-                   dirs: np.ndarray, t_near: float, t_far: float,
-                   num_samples: int):
-    """Forward-only render at the midpoints of `num_samples` equal strata
-    of [t_near, t_far], with every encoding level active: (depth,
-    intensity, drop_prob), equal bit for bit to those of `render_rays` at
-    the same midpoints (`strata(t_near, t_far, num_samples, 0.5)` in every
-    row).
+                   dirs: np.ndarray, ts: np.ndarray, t_far: float):
+    """Forward-only render at the sorted (N,) sample distances `ts` on
+    every ray, with every encoding level active: (depth, intensity,
+    drop_prob), equal bit for bit to those of `render_rays` with `ts` in
+    every row.
 
     The shards are those of `render_rays`, all in one `spatial.pool_map`.
     A shard keeps nothing for a reverse pass: it writes its rays' three
@@ -396,7 +373,7 @@ def render_forward(params: FieldParams, origins: np.ndarray,
     origins = np.atleast_2d(np.asarray(origins, dtype=dtype))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=dtype))
     n = origins.shape[0]
-    ts = strata(t_near, t_far, num_samples, 0.5).astype(dtype)
+    ts = np.asarray(ts, dtype=dtype)
     delta = _spacings(ts, t_far)
     depth, intensity, drop_logit = np.empty(n), np.empty(n), np.empty(n)
 
@@ -405,35 +382,36 @@ def render_forward(params: FieldParams, origins: np.ndarray,
             params, origins[r], dirs[r], ts, delta, None)
 
     list(pool_map([partial(render, shard.rays)
-                   for shard in _shards(n, num_samples)]))
+                   for shard in _shards(n, len(ts))]))
     return depth, intensity, expit(drop_logit)
 
 
 def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
              d_drop_prob: np.ndarray, field_grads: bool = True) -> np.ndarray:
-    """Reverse pass: accumulates into tape.params.grads, returns the pose
-    gradient as a 6-vector (d rho, d phi).
+    """Reverse pass: accumulates into tape.params.grads and returns the
+    gradient of one rigid motion of the rays (samples x_i = o + t_i * d) as
+    a 6-vector: d/d t for every origin moved by t, then the world-frame
+    torque d/d w for every direction turned by exp(w^) about its origin.
+    The caller maps it to its pose (`trainer.render_step`). Gradients
+    through clamped sample coordinates are zero.
 
     Two stages of `spatial.pool_map` tasks. Stage 1 runs per shard:
     compositing, the MLP's activation gradients and the encoder's d/dx.
     Stage 2 runs each whole-batch reduction once, as its own task, over
-    the shard outputs stacked in ray order: the pose sums, the MLP weight
+    the shard outputs stacked in ray order: the motion sums, the MLP weight
     and bias products, and one bincount per hash level and channel and per
     plane and channel. The reductions see the same arrays whatever the CPU
     count, so the gradients do not depend on it, bit for bit.
 
     With `field_grads` False the field is treated as frozen: stage 2 is
-    the pose sums alone and params.grads is left untouched. The pose
+    the motion sums alone and params.grads is left untouched. The motion
     gradient is the same bit for bit.
-
-    The pose enters through ray origin and direction: x_i = o + t_i * R d.
-    Gradients through clamped sample coordinates are zero.
     """
     if tape is None or tape.consumed:
         raise TapeMissing("render tape absent or already consumed")
     tape.consumed = True
     params = tape.params
-    n, m = tape.n_rays, tape.n_samples
+    n, m = tape.ts.shape
     d_depth = np.broadcast_to(np.asarray(d_depth, dtype=np.float64), (n,))
     d_intensity = np.broadcast_to(np.asarray(d_intensity, dtype=np.float64), (n,))
     d_drop_prob = np.broadcast_to(np.asarray(d_drop_prob, dtype=np.float64), (n,))
@@ -474,31 +452,21 @@ def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
 
     list(pool_map([partial(stage1, shard) for shard in tape.shards]))
 
-    pose_grad = np.zeros(6)
+    motion = np.zeros(6)
 
-    def pose_sums() -> None:
+    def motion_sums() -> None:
         dx = out.pop("dx").reshape(n, m, 3)
-        pose_grad[:3] = dx.sum(axis=(0, 1), dtype=np.float64)
+        motion[:3] = dx.sum(axis=(0, 1), dtype=np.float64)
         v = (tape.ts[:, :, None] * dx).sum(axis=1, dtype=np.float64)  # (n, 3)
-        torque = np.cross(tape.dirs_world.astype(np.float64), v).sum(axis=0)
-        pose_grad[3:] = so3_left_jacobian(tape.pose_phi).T @ torque
+        motion[3:] = np.cross(tape.dirs_world.astype(np.float64),
+                              v).sum(axis=0)
 
-    stage2 = [pose_sums]
+    stage2 = [motion_sums]
     if field_grads:
         stage2 += _mlp_weight_grads(params, out)
         stage2 += table_scatters([s.enc_cache for s in tape.shards],
                                  out["table_up"], params.grads["planes"],
                                  params.grads["hash"], cfg)
     list(pool_map(stage2))
-    return pose_grad
+    return motion
 
-
-def pose_rays(pose: Se3Param, directions: np.ndarray):
-    """World origins/directions for sensor-frame pixel directions.
-
-    directions: (n, 3). Returns (origins (n, 3), dirs (n, 3)).
-    """
-    rot = so3_exp(pose.phi)
-    dirs = directions @ rot.T
-    origins = np.broadcast_to(pose.rho, dirs.shape).copy()
-    return origins, dirs

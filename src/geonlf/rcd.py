@@ -432,6 +432,8 @@ def geo_optimize(clouds: list[PointCloud], poses: list[Se3Param],
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    if not (lr_rot > 0.0 and lr_trans > 0.0):
+        raise ValueError(f"lr_rot {lr_rot} and lr_trans {lr_trans} must be > 0")
     session = GeoSession(clouds, graph, cfg)
     poses = [p.copy() for p in poses]
     for step in range(steps):

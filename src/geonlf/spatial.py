@@ -68,7 +68,10 @@ NORMAL_NEIGHBORS = 12
 CACHE_CANDIDATES = 4
 # Relative margin of both inequalities of the bound (module docstring).
 CACHE_MARGIN = 1e-9
-# Points re-queried per kd-tree call, which bounds the call's temporaries.
+# Points re-queried per kd-tree call. A NearestCache.query re-queries a
+# median of 2,178 / 3,615 and at most 14,769 / 27,799 points in one full
+# register_lowoverlap / train_corridor operation (one CPU, seed 1501);
+# unchunked, register_lowoverlap's peak RSS rose 1.7 MB (6 of 6 pairs).
 REQUERY_CHUNK = 4096
 
 

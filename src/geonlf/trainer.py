@@ -16,12 +16,14 @@ import numpy as np
 
 from .cloud import PointCloud, RangeImage
 from .encoding import EncodingConfig
-from .errors import (DegenerateNeighborhood, EmptyBatch, EmptyCloud,
-                     FrameMismatch, NonFiniteLoss, ShapeMismatch, TooFewFrames)
-from .field import (PARAM_NAMES, FieldParams, backward, pose_rays,
-                    render_forward, render_rays, strata)
+from .errors import (ConfigError, DegenerateNeighborhood, EmptyBatch,
+                     EmptyCloud, FrameMismatch, NonFiniteLoss, ShapeMismatch,
+                     TooFewFrames)
+from .field import (PARAM_NAMES, FieldParams, backward, render_forward,
+                    render_rays)
 from .formats import loss_row
-from .geometry import Se3Param, Trajectory, se3_decoupled
+from .geometry import (Se3Param, Trajectory, se3_decoupled, so3_exp,
+                       so3_left_jacobian)
 from .optim import Adam, exp_decay
 from .rcd import GeoSession, RcdConfig, build_graph, temperature_at
 from .scene import ScannerConfig, unproject
@@ -251,6 +253,21 @@ def _flat_target(img: RangeImage, scanner: ScannerConfig):
             img.drop_mask().reshape(-1), img.valid.reshape(-1))
 
 
+def strata(t_near: float, t_far: float, num_strata: int,
+           jitter) -> np.ndarray:
+    """One float64 distance in each of `num_strata` equal strata of
+    [t_near, t_far): t_near + (i + jitter_i) / num_strata * (t_far - t_near).
+    `jitter` in [0, 1) is the offset within each stratum: (n, num_strata)
+    gives (n, num_strata) rows, the scalar 0.5 one row of midpoints. Every
+    sampler starts here, so an empty or reversed range is a ConfigError
+    here."""
+    if not t_near < t_far:
+        raise ConfigError(f"empty sampling range: t_near {t_near} is not "
+                          f"below max_range {t_far}")
+    frac = (np.arange(num_strata) + jitter) / num_strata
+    return t_near + frac * (t_far - t_near)
+
+
 def sample_distances(t_near: float, t_far: float, observed: np.ndarray,
                      valid: np.ndarray, jitter: np.ndarray) -> np.ndarray:
     """The (n, N) sorted float64 sample distances of n rays in
@@ -277,6 +294,13 @@ def sample_distances(t_near: float, t_far: float, observed: np.ndarray,
              lo[:, None] + strata(0.0, width, n_band,
                                   jitter[valid, n_wide:])], axis=1), axis=1)
     return ts
+
+
+def pose_rays(pose: Se3Param, directions: np.ndarray):
+    """World (origins, dirs), each (n, 3), of the sensor-frame pixel
+    directions (n, 3) seen from `pose`."""
+    dirs = directions @ so3_exp(pose.phi).T
+    return np.broadcast_to(pose.rho, dirs.shape).copy(), dirs
 
 
 def render_step(params: FieldParams, pose: Se3Param, target,
@@ -312,7 +336,7 @@ def render_step(params: FieldParams, pose: Se3Param, target,
     origins, dirs = pose_rays(pose, scanner.directions[pix])
     depth, intens, drop, tape = render_rays(
         params, origins, dirs, ts, scanner.max_range, cfg.samples_per_ray,
-        pose.phi, alpha=alpha)
+        alpha=alpha)
     loss, comps, (gd, gi, gp) = render_loss(
         (depth, intens, drop), batch,
         cfg.lambda_depth, cfg.lambda_intensity, cfg.lambda_raydrop)
@@ -328,7 +352,9 @@ def render_step(params: FieldParams, pose: Se3Param, target,
         gd[valid] += cfg.lambda_cd * np.einsum("ni,ni->n", grad_synth, d)
     if field_grads:
         params.zero_grads()
-    return loss, comps, backward(tape, gd, gi, gp, field_grads)
+    grad = backward(tape, gd, gi, gp, field_grads)
+    grad[3:] = so3_left_jacobian(pose.phi).T @ grad[3:]   # torque -> d/d phi
+    return loss, comps, grad
 
 
 def train(images: list[RangeImage], init_poses: Trajectory,
@@ -424,22 +450,18 @@ def train(images: list[RangeImage], init_poses: Trajectory,
 def render_full_image(params: FieldParams, pose: Se3Param,
                       scanner: ScannerConfig, cfg: TrainConfig) -> RangeImage:
     """Deterministic render of every pixel with every encoding level
-    active, at the midpoints of cfg.samples_per_ray equal strata of
-    [t_near, max_range] on every ray: no target range is known here, so
-    there is no band. Pixels with drop probability above 0.5 are marked
-    invalid.
-
-    The whole image is one `field.render_forward`: one pool map of
-    fixed-size shards that keep no reverse-pass state, so peak memory does
-    not grow with the image size, and the image neither depends on the CPU
-    count nor differs from one `render_rays` of every pixel at those
-    midpoints, bit for bit.
-    """
+    active, at one row of cfg.samples_per_ray strata midpoints over
+    [t_near, max_range] that every ray shares: no target range is known
+    here, so there is no band. Pixels with drop probability above 0.5 are
+    invalid. The image is one `field.render_forward`, so its memory does
+    not grow with its size, and for any CPU count it equals one
+    `render_rays` of every pixel at those midpoints, bit for bit."""
     h, w = scanner.shape
     origins, dirs = pose_rays(pose, scanner.directions)
-    depth, intens, drop = render_forward(params, origins, dirs, cfg.t_near,
-                                         scanner.max_range,
-                                         cfg.samples_per_ray)
+    depth, intens, drop = render_forward(
+        params, origins, dirs,
+        strata(cfg.t_near, scanner.max_range, cfg.samples_per_ray, 0.5),
+        scanner.max_range)
     valid = drop <= 0.5
     return RangeImage(np.where(valid, depth, -1.0).reshape(h, w),
                       np.where(valid, intens, 0.0).reshape(h, w),

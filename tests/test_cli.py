@@ -207,6 +207,22 @@ class TestPlot:
         assert labels == ["gt_traj", "init_traj"]
 
 
+# (subcommand and its positionals, flag, bad value, the bound it breaks)
+BAD_NUMBERS = [
+    (["eval", "e.txt", "r.txt"], "--fscore-threshold", "0", "> 0"),
+    (["gen"], "--frames", "-3", ">= 2"),
+    (["gen"], "--frames", "0", ">= 2"),
+    (["gen"], "--frames", "1", ">= 2"),
+    (["gen"], "--sigma-rot", "-5", ">= 0"),
+    (["gen"], "--sigma-rot", "nan", ">= 0"),
+    (["gen"], "--sigma-trans", "-0.1", ">= 0"),
+    (["gen"], "--sigma-trans", "inf", ">= 0"),
+    (["gen"], "--seed", "-1", ">= 0"),
+    (["reconstruct", "data"], "--register-steps", "-3", ">= 0"),
+    (["baseline-icp", "data"], "--max-iters", "-2", ">= 0"),
+]
+
+
 class TestErrors:
     def test_bad_config_exit_1(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -275,6 +291,32 @@ class TestErrors:
                   "--out", str(tmp_path / "reg")])
         assert exc.value.code == 2
         assert "--steps: must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "reg").exists()
+
+    @pytest.mark.parametrize("argv, flag, value, need", BAD_NUMBERS,
+                             ids=[f"{c[1][2:]}={c[2]}" for c in BAD_NUMBERS])
+    def test_bad_number_is_a_usage_error(self, argv, flag, value, need,
+                                         tmp_path, capsys):
+        # Each of these crashed with a traceback, wrote an empty dataset or
+        # was silently read as no noise / no iterations.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"{flag}: must be {need}, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["geo.lr_rot", "geo.lr_trans"])
+    @pytest.mark.parametrize("value", ["0", "-0.001"])
+    def test_non_positive_geo_rate_exit_1(self, key, value, dataset,
+                                          tmp_path, capsys):
+        # A zero rate divided by zero in the decay; a negative one climbed.
+        bad = tmp_path / "lr.cfg"
+        bad.write_text(f"{key} = {value}\n")
+        rc = main(["register", str(dataset), "--config", str(bad),
+                   "--steps", "2", "--out", str(tmp_path / "reg")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be > 0")
         assert not (tmp_path / "reg").exists()
 
     def test_negative_config_steps_exit_1(self, dataset, tmp_path, capsys):

@@ -7,9 +7,10 @@ import pytest
 from geonlf.encoding import EncodingConfig
 from geonlf.errors import TapeMissing
 from geonlf.field import (CHECKPOINT_MAGIC, PARAM_NAMES, FieldParams, backward,
-                          composite, pose_rays, render_rays, softplus)
-from geonlf.geometry import Se3Param, so3_exp
+                          composite, render_rays, softplus)
+from geonlf.geometry import Se3Param, so3_exp, so3_left_jacobian
 from geonlf.scene import ScannerConfig
+from geonlf.trainer import pose_rays
 from oracles import numeric_gradient, uniform_distances
 
 TINY = EncodingConfig(levels=2, base_resolution=4, growth=1.5,
@@ -122,8 +123,8 @@ class TestRender:
         origins = np.full((3, 3), 0.5)
         dirs = np.tile([1.0, 0.0, 0.0], (3, 1))
         ts = uniform_distances(3, 0.05, 0.45, 16)
-        a = render_rays(params, origins, dirs, ts, 0.45, 16, np.zeros(3))[:3]
-        b = render_rays(params, origins, dirs, ts, 0.45, 16, np.zeros(3))[:3]
+        a = render_rays(params, origins, dirs, ts, 0.45, 16)[:3]
+        b = render_rays(params, origins, dirs, ts, 0.45, 16)[:3]
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -134,7 +135,7 @@ class TestRender:
         a, b = (render_rays(params, origins, dirs,
                             uniform_distances(2, 0.05, 0.45, 16,
                                               np.random.default_rng(5)),
-                            0.45, 16, np.zeros(3))[:3] for _ in range(2))
+                            0.45, 16)[:3] for _ in range(2))
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -142,7 +143,7 @@ class TestRender:
         params = tiny_params()
         depth, intens, drop, tape = render_rays(
             params, [[0.5, 0.5, 0.5]], [[1.0, 0.0, 0.0]],
-            uniform_distances(1, 0.05, 0.45, 8), 0.45, 8, np.zeros(3))
+            uniform_distances(1, 0.05, 0.45, 8), 0.45, 8)
         assert depth.shape == intens.shape == drop.shape == (1,)
         assert tape.weights.shape == (1, 8)
         assert 0.0 <= drop[0] <= 1.0
@@ -157,7 +158,7 @@ class TestRender:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         _, _, _, tape = render_rays(
             params, origins, dirs, uniform_distances(n, 0.05, 0.4, 16, rng),
-            0.4, 16, np.zeros(3))
+            0.4, 16)
         assert (tape.weights >= 0).all()
         assert (tape.weights.sum(axis=1) <= 1.0 + 1e-9).all()
 
@@ -182,8 +183,7 @@ class FullGradCheck:
         ts = uniform_distances(len(origins), self.near, self.far,
                                self.n_samples)
         return render_rays(self.params, origins, dirs, ts, self.far,
-                           self.n_samples, alpha=None,
-                           pose_phi=self.pose.phi)
+                           self.n_samples, alpha=None)
 
     def loss_value(self):
         depth, intens, drop, _ = self._forward()
@@ -239,6 +239,7 @@ class TestFieldGradients(FullGradCheck):
 
     def test_pose_gradients(self):
         pose_grad = self.analytic()
+        pose_grad[3:] = so3_left_jacobian(self.pose.phi).T @ pose_grad[3:]
         base = np.concatenate([self.pose.rho, self.pose.phi])
 
         def value(v):
@@ -276,8 +277,8 @@ class TestCheckpoint:
         origins = np.full((2, 3), 0.5)
         dirs = np.tile([1.0, 0.0, 0.0], (2, 1))
         ts = uniform_distances(2, 0.05, 0.4, 8)
-        a = render_rays(params, origins, dirs, ts, 0.4, 8, np.zeros(3))[0]
-        b = render_rays(loaded, origins, dirs, ts, 0.4, 8, np.zeros(3))[0]
+        a = render_rays(params, origins, dirs, ts, 0.4, 8)[0]
+        b = render_rays(loaded, origins, dirs, ts, 0.4, 8)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_loads_layout_with_sinusoidal_levels(self, tmp_path):

@@ -59,3 +59,11 @@ def test_scan_sees_every_import_form():
         "# from .cli import main in a comment\n"
         "s = 'from .config import RunConfig'\n") == {
             "field", "trainer", "geometry", "encoding", "scene", "spatial"}
+
+
+def test_field_renders_without_geometry():
+    """The field renders the rays and distances it is given: how a pose
+    becomes rays and where samples go are the trainer's, so the field
+    imports no pose or sampling module."""
+    source = (LIBRARY[0].parent / "field.py").read_text()
+    assert _package_imports(source) <= {"encoding", "errors", "spatial"}

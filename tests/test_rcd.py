@@ -682,6 +682,17 @@ class TestGeoOptimize:
             assert np.linalg.norm(est.rho - ref.rho) < 0.02
             assert np.degrees(np.linalg.norm(est.phi - ref.phi)) < 1.0
 
+    @pytest.mark.parametrize("lr_rot, lr_trans", [
+        (0.0, 1e-3), (5e-3, 0.0), (-5e-3, 1e-3), (5e-3, -1e-3),
+        (float("nan"), 1e-3)])
+    def test_non_positive_rate_rejected(self, lr_rot, lr_trans):
+        # A zero rate divides by zero in the decay, a negative one climbs.
+        cloud = PointCloud(np.random.default_rng(13).uniform(size=(50, 3)))
+        with pytest.raises(ValueError, match="must be > 0"):
+            geo_optimize([cloud, cloud], [Se3Param(), Se3Param()],
+                         build_graph(2, 1), RcdConfig(voxel_size=0.02),
+                         steps=1, lr_rot=lr_rot, lr_trans=lr_trans)
+
 
 class TestIcp:
     def test_identity(self):

@@ -13,7 +13,7 @@ from geonlf.errors import (ConfigError, EmptyBatch, EmptyCloud,
                            FrameMismatch, NonFiniteLoss, ShapeMismatch,
                            TooFewFrames)
 from geonlf.field import (PARAM_NAMES, SHARD_SAMPLES, FieldParams, backward,
-                          pose_rays, render_rays)
+                          render_rays)
 from geonlf.geometry import Se3Param, Trajectory, so3_exp
 from geonlf.metrics import pose_metrics
 from geonlf.rcd import RcdConfig
@@ -22,7 +22,7 @@ from geonlf.scene import (ScannerConfig, lidar_scan, make_scene,
 from geonlf.spatial import pool_map
 from geonlf.trainer import (FrameLossTracker, TrainConfig, _flat_target,
                             alternation_ratio, c2f_alpha, cd_loss_3d,
-                            normal_loss, register_novel_view,
+                            normal_loss, pose_rays, register_novel_view,
                             render_full_image, render_loss, render_step,
                             reweight_factor, sample_distances,
                             select_outliers, train)
@@ -206,7 +206,7 @@ def _render_every_pixel(params, pose, scanner, cfg):
     ts = uniform_distances(len(origins), cfg.t_near, scanner.max_range,
                            cfg.samples_per_ray)
     return render_rays(params, origins, dirs, ts, scanner.max_range,
-                       cfg.samples_per_ray, pose.phi)[:3]
+                       cfg.samples_per_ray)[:3]
 
 
 class TestSampleDistances:
@@ -713,7 +713,7 @@ class TestSrMechanics:
             params.zero_grads()
             depth, intens, drop, tape = render_rays(
                 params, origins, dirs, uniform_distances(64, 0.05, 0.6, 16),
-                0.6, 16, alpha=None, pose_phi=pose.phi)
+                0.6, 16, alpha=None)
             tgt = (depth + 0.1, intens - 0.05, drop * 0.0 + 0.4,
                    np.ones(64, bool))
             _, _, (gd, gi, gp) = render_loss((depth, intens, drop), tgt,
