@@ -70,9 +70,9 @@ def _read_clouds(data_dir: Path):
 def cmd_gen(args) -> int:
     cfg = _load_config(args)
     scanner = cfg.scanner()
+    seed = cfg.train().seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = cfg["train.seed"]
 
     scene = make_scene(args.preset, seed)
     gt = make_trajectory(args.preset, args.frames, seed)
@@ -126,12 +126,12 @@ def cmd_register(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     cfg = _load_config(args)
-    data = Path(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     scanner = cfg.scanner()
     train_cfg = cfg.train()
     enc_cfg = cfg.encoding()
+    data = Path(args.data)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     ids, images = _read_frames(data)
     init = read_trajectory(data / "init_traj.txt")

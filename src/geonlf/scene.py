@@ -2,6 +2,15 @@
 analytic 32-beam style scanner and the unprojection of its range images,
 and pose perturbation for building registration problems with known
 answers.
+
+A scan runs each primitive's `intersect` only on the rays whose line passes
+within the primitive's bounding sphere in front of the sensor (`_reaching`).
+The cull is exact: every hit lies on the surface, so inside the sphere, and
+the test's margins are far above its rounding. Scans equal those of the
+all-rays caster in `tests/oracles.py` bit for bit. Eight default 32x360
+scans (seed 1501, one BLAS thread, a 2-CPU Xeon) take 0.10-0.11 s on the
+low_overlap preset, 0.04 s on corridor and 0.05 s on intersection; every
+primitive on every ray took 0.36-0.39, 0.12-0.13 and 0.11 s.
 """
 
 from __future__ import annotations
@@ -16,6 +25,8 @@ from .errors import ShapeMismatch, UnknownPreset
 from .geometry import Trajectory, so3_exp
 
 _EPS = 1e-9
+_BOUND_MARGIN = 1e-6     # relative growth of every bounding radius
+_BOUND_ROUNDING = 1e-12  # of |center - origin|^2, in the squared line distance
 
 
 @dataclass(frozen=True)
@@ -102,6 +113,10 @@ class Rect:
         self.normal = self.normal / np.linalg.norm(self.normal)
         self.u_axis, self.v_axis = _plane_basis(self.normal)
 
+    @property
+    def bounding_sphere(self):
+        return self.point, float(np.hypot(self.half_u, self.half_v))
+
     def intersect(self, origins, dirs):
         denom = dirs @ self.normal
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -126,24 +141,36 @@ class Box:
         self.half_extents = np.asarray(self.half_extents, dtype=np.float64)
         self.rotation = np.asarray(self.rotation, dtype=np.float64)
 
+    @property
+    def bounding_sphere(self):
+        return self.center, float(np.linalg.norm(self.half_extents))
+
     def intersect(self, origins, dirs):
+        """Slab test, one box axis (column) at a time. The entering face is
+        the first axis holding the largest entry distance."""
         ob = (origins - self.center) @ self.rotation
         db = dirs @ self.rotation
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (-self.half_extents - ob) / db
-            t2 = (self.half_extents - ob) / db
-        lo = np.where(np.abs(db) > _EPS, np.minimum(t1, t2),
-                      np.where(np.abs(ob) <= self.half_extents, -np.inf, np.inf))
-        hi = np.where(np.abs(db) > _EPS, np.maximum(t1, t2),
-                      np.where(np.abs(ob) <= self.half_extents, np.inf, -np.inf))
-        t_enter = lo.max(axis=1)
-        t_exit = hi.min(axis=1)
+        lo, hi = [], []
+        for o, d, h in zip(ob.T, db.T, self.half_extents):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = (-h - o) / d
+                t2 = (h - o) / d
+            moving = np.abs(d) > _EPS
+            inside = np.abs(o) <= h
+            lo.append(np.where(moving, np.minimum(t1, t2),
+                               np.where(inside, -np.inf, np.inf)))
+            hi.append(np.where(moving, np.maximum(t1, t2),
+                               np.where(inside, np.inf, -np.inf)))
+        t_enter = np.maximum(np.maximum(lo[0], lo[1]), lo[2])
+        t_exit = np.minimum(np.minimum(hi[0], hi[1]), hi[2])
         ok = (t_enter <= t_exit) & (t_enter > _EPS)
         t = np.where(ok, t_enter, np.inf)
-        axis = lo.argmax(axis=1)
-        sign = -np.sign(np.take_along_axis(db, axis[:, None], axis=1)[:, 0])
-        n_box = np.zeros_like(dirs)
-        n_box[np.arange(dirs.shape[0]), axis] = np.where(sign == 0.0, 1.0, sign)
+        on = [lo[0] == t_enter]
+        on.append(~on[0] & (lo[1] == t_enter))
+        on.append(~on[0] & ~on[1])
+        sign = -np.sign(np.select(on, list(db.T)))
+        sign = np.where(sign == 0.0, 1.0, sign)
+        n_box = np.stack([np.where(a, sign, 0.0) for a in on], axis=1)
         return t, n_box @ self.rotation.T
 
 
@@ -155,6 +182,10 @@ class Sphere:
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64)
+
+    @property
+    def bounding_sphere(self):
+        return self.center, float(self.radius)
 
     def intersect(self, origins, dirs):
         oc = origins - self.center
@@ -186,6 +217,10 @@ class Cylinder:
         self.base = np.asarray(self.base, dtype=np.float64)
         self.axis = np.asarray(self.axis, dtype=np.float64)
         self.axis = self.axis / np.linalg.norm(self.axis)
+
+    @property
+    def bounding_sphere(self):
+        return self.base, float(np.hypot(self.radius, self.half_height))
 
     def intersect(self, origins, dirs):
         oc = origins - self.base
@@ -219,22 +254,49 @@ class Cylinder:
 class Scene:
     primitives: list
 
-    def cast(self, origins: np.ndarray, dirs: np.ndarray):
-        """Nearest positive hit per ray.
+    def cast(self, origin: np.ndarray, dirs: np.ndarray):
+        """Nearest positive hit of each unit ray in `dirs` from one `origin`.
 
         Returns (t (n,), normals (n, 3), reflectance (n,)); t = inf on miss.
+        Each primitive intersects only the rays that `_reaching` keeps for
+        its bounding sphere; a tie in t goes to the earlier primitive.
         """
         n = dirs.shape[0]
         best_t = np.full(n, np.inf)
         best_n = np.zeros((n, 3))
         best_r = np.zeros(n)
+        origins = np.broadcast_to(origin, dirs.shape)
         for prim in self.primitives:
-            t, normals = prim.intersect(origins, dirs)
-            closer = t < best_t
-            best_t = np.where(closer, t, best_t)
-            best_n[closer] = normals[closer]
-            best_r[closer] = prim.reflectance
+            rays = _reaching(prim, origin, dirs)
+            if rays.size == 0:
+                continue
+            t, normals = prim.intersect(origins[rays], dirs[rays])
+            closer = t < best_t[rays]
+            hit = rays[closer]
+            best_t[hit] = t[closer]
+            best_n[hit] = normals[closer]
+            best_r[hit] = prim.reflectance
         return best_t, best_n, best_r
+
+
+def _reaching(prim, origin, dirs) -> np.ndarray:
+    """Indices of the rays whose line passes within the bounding radius r of
+    `prim`'s center c, at t >= -r along the ray.
+
+    Every hit at t > 0 lies on the primitive's surface, inside that sphere,
+    so every other ray misses. The radius grows by `_BOUND_MARGIN` and the
+    squared line distance |c - o|^2 - (d . (c - o))^2 may exceed r^2 by
+    `_BOUND_ROUNDING` |c - o|^2, both far above the rounding of either side,
+    so no hit is dropped. Only (n,) temporaries: a (primitives, n) batch
+    raised a low-overlap set-up's peak memory by 7 MB.
+    """
+    center, radius = prim.bounding_sphere
+    oc = center - origin
+    oc2 = oc @ oc
+    r = radius * (1.0 + _BOUND_MARGIN)
+    along = dirs @ oc
+    return np.flatnonzero((along * along >= oc2 - r * r - _BOUND_ROUNDING * oc2)
+                          & (along >= -r))
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +451,7 @@ def lidar_scan(scene: Scene, pose: np.ndarray, cfg: ScannerConfig,
     pose = np.asarray(pose, dtype=np.float64)
     h, w = cfg.shape
     dirs = cfg.directions @ pose[:3, :3].T
-    origins = np.broadcast_to(pose[:3, 3], dirs.shape)
-
-    t, normals, refl = scene.cast(origins, dirs)
+    t, normals, refl = scene.cast(pose[:3, 3], dirs)
     hit = np.isfinite(t) & (t <= cfg.max_range)
     rng = np.random.default_rng(seed)
     bern = rng.random(h * w) < cfg.drop_prob

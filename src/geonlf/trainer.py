@@ -77,6 +77,8 @@ class TrainConfig:
                      "graph_window", "hidden_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 # Decay of the per-frame loss moving average in `FrameLossTracker`.

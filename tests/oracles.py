@@ -355,3 +355,112 @@ def project_points(cloud, cfg):
     if cloud.intensity is not None:
         intensity[rows, cols] = cloud.intensity[order]
     return RangeImage(depth, intensity, valid)
+
+
+# The all-rays scene caster: every primitive intersects every ray, and the
+# box uses the (n, 3) slab reduction. `Scene.cast` must match it bit for bit.
+
+_EPS = 1e-9
+
+
+def _rect_intersect(prim, origins, dirs):
+    denom = dirs @ prim.normal
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = ((prim.point - origins) @ prim.normal) / denom
+    rel = origins + t[:, None] * dirs - prim.point
+    ok = (np.abs(denom) > _EPS) & (t > _EPS) \
+        & (np.abs(rel @ prim.u_axis) <= prim.half_u) \
+        & (np.abs(rel @ prim.v_axis) <= prim.half_v)
+    t = np.where(ok, t, np.inf)
+    return t, np.broadcast_to(prim.normal, dirs.shape)
+
+
+def _box_intersect(prim, origins, dirs):
+    ob = (origins - prim.center) @ prim.rotation
+    db = dirs @ prim.rotation
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (-prim.half_extents - ob) / db
+        t2 = (prim.half_extents - ob) / db
+    lo = np.where(np.abs(db) > _EPS, np.minimum(t1, t2),
+                  np.where(np.abs(ob) <= prim.half_extents, -np.inf, np.inf))
+    hi = np.where(np.abs(db) > _EPS, np.maximum(t1, t2),
+                  np.where(np.abs(ob) <= prim.half_extents, np.inf, -np.inf))
+    t_enter = lo.max(axis=1)
+    t_exit = hi.min(axis=1)
+    ok = (t_enter <= t_exit) & (t_enter > _EPS)
+    t = np.where(ok, t_enter, np.inf)
+    axis = lo.argmax(axis=1)
+    sign = -np.sign(np.take_along_axis(db, axis[:, None], axis=1)[:, 0])
+    n_box = np.zeros_like(dirs)
+    n_box[np.arange(dirs.shape[0]), axis] = np.where(sign == 0.0, 1.0, sign)
+    return t, n_box @ prim.rotation.T
+
+
+def _sphere_intersect(prim, origins, dirs):
+    oc = origins - prim.center
+    b = np.einsum("ni,ni->n", dirs, oc)
+    c = np.einsum("ni,ni->n", oc, oc) - prim.radius ** 2
+    disc = b * b - c
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    t0 = -b - sq
+    t1 = -b + sq
+    t = np.where(t0 > _EPS, t0, np.where(t1 > _EPS, t1, np.inf))
+    t = np.where(disc >= 0.0, t, np.inf)
+    hits = origins + t[:, None] * dirs
+    with np.errstate(invalid="ignore"):
+        normals = (hits - prim.center) / prim.radius
+    return t, np.nan_to_num(normals)
+
+
+def _cylinder_intersect(prim, origins, dirs):
+    oc = origins - prim.base
+    d_par = dirs @ prim.axis
+    o_par = oc @ prim.axis
+    d_perp = dirs - d_par[:, None] * prim.axis
+    o_perp = oc - o_par[:, None] * prim.axis
+    a = np.einsum("ni,ni->n", d_perp, d_perp)
+    b = np.einsum("ni,ni->n", d_perp, o_perp)
+    c = np.einsum("ni,ni->n", o_perp, o_perp) - prim.radius ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = b * b - a * c
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        t0 = (-b - sq) / a
+        t1 = (-b + sq) / a
+    axial0 = np.abs(o_par + t0 * d_par) <= prim.half_height
+    axial1 = np.abs(o_par + t1 * d_par) <= prim.half_height
+    pick0 = (t0 > _EPS) & axial0
+    pick1 = (t1 > _EPS) & axial1
+    t = np.where(pick0, t0, np.where(pick1, t1, np.inf))
+    t = np.where((disc >= 0.0) & (a > _EPS), t, np.inf)
+    with np.errstate(invalid="ignore"):
+        hits = origins + t[:, None] * dirs
+        rel = hits - prim.base
+        perp = rel - (rel @ prim.axis)[:, None] * prim.axis
+        normals = perp / prim.radius
+    return t, np.nan_to_num(normals)
+
+
+_INTERSECT = {Rect: _rect_intersect, Box: _box_intersect,
+              Sphere: _sphere_intersect, Cylinder: _cylinder_intersect}
+
+
+class AllRaysScene:
+    """Duck-typed stand-in for `Scene` whose `cast` runs every primitive on
+    every ray; `lidar_scan(AllRaysScene(prims), ...)` is the reference scan."""
+
+    def __init__(self, primitives):
+        self.primitives = primitives
+
+    def cast(self, origin, dirs):
+        origins = np.broadcast_to(origin, dirs.shape)
+        n = dirs.shape[0]
+        best_t = np.full(n, np.inf)
+        best_n = np.zeros((n, 3))
+        best_r = np.zeros(n)
+        for prim in self.primitives:
+            t, normals = _INTERSECT[type(prim)](prim, origins, dirs)
+            closer = t < best_t
+            best_t = np.where(closer, t, best_t)
+            best_n[closer] = normals[closer]
+            best_r[closer] = prim.reflectance
+        return best_t, best_n, best_r

@@ -365,6 +365,20 @@ class TestErrors:
         assert "(16, 120)" in capsys.readouterr().err
         assert not (out / "est_traj.txt").exists()
 
+    @pytest.mark.parametrize("command", ["gen", "reconstruct"])
+    def test_negative_config_seed_exit_1(self, command, dataset, tmp_path,
+                                         capsys):
+        # gen died in numpy's seeding with a traceback.
+        bad = tmp_path / "seed.cfg"
+        bad.write_text("train.seed = -1\n")
+        argv = ["gen", "--frames", "3"] if command == "gen" \
+            else ["reconstruct", str(dataset)]
+        rc = main(argv + ["--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: bad train config: seed must be >= 0\n"
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_preset_exit_1(self, tmp_path):
         rc = main(["gen", "--preset", "corridor", "--frames", "3",
                    "--out", str(tmp_path / "y")])

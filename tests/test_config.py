@@ -84,6 +84,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="planar_resolution"):
             cfg.encoding()
 
+    def test_negative_seed_rejected(self):
+        # numpy's generators take no negative seed.
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            RunConfig.parse("train.seed = -1\n").train()
+
     def test_removed_rcd_keys_rejected(self):
         # The weights are always held fixed and the temperature ramp is
         # always linear; a gen.cfg that still sets either key must drop it.

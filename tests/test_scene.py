@@ -5,12 +5,12 @@ import pytest
 
 from geonlf.cloud import PointCloud, RangeImage
 from geonlf.errors import ShapeMismatch, UnknownPreset
-from geonlf.geometry import rotation_angle
-from geonlf.scene import (Box, Cylinder, Rect, ScannerConfig, Scene, Sphere,
-                          lidar_scan, make_scene, make_trajectory,
-                          perturb_poses, unproject)
+from geonlf.geometry import rotation_angle, so3_exp
+from geonlf.scene import (PRESETS, Box, Cylinder, Rect, ScannerConfig, Scene,
+                          Sphere, _reaching, lidar_scan, make_scene,
+                          make_trajectory, perturb_poses, unproject)
 from geonlf.spatial import KdTree
-from oracles import project_points, surface_residual
+from oracles import AllRaysScene, project_points, surface_residual
 
 SCANNER = ScannerConfig()
 
@@ -181,6 +181,113 @@ class TestLidarScan:
         rimg, _ = lidar_scan(scene, pose, cfg, seed=0)
         assert rimg.valid.all()
         assert (np.abs(rimg.intensity - 0.7) < 0.01).all()
+
+
+def _cast_as_reference(prims, origin, dirs):
+    """`Scene(prims).cast`, asserted equal byte for byte to the all-rays
+    caster."""
+    origin = np.asarray(origin, dtype=np.float64)
+    got = Scene(prims).cast(origin, dirs)
+    want = AllRaysScene(prims).cast(origin, dirs)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    return got
+
+
+class TestCastMatchesAllRays:
+    """`Scene.cast` runs each primitive only on the rays that can reach its
+    bounding sphere; every ray it skips must be one the all-rays caster
+    (tests/oracles.py) reports as a miss of that primitive."""
+
+    @pytest.mark.parametrize("scanner", [SCANNER, ScannerConfig(beams=16,
+                                                                azimuth_steps=120)],
+                             ids=["32x360", "16x120"])
+    @pytest.mark.parametrize("seed", [0, 70, 1501])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_scan_equals_reference(self, preset, seed, scanner):
+        scene = make_scene(preset, seed)
+        reference = AllRaysScene(scene.primitives)
+        for i, pose in enumerate(make_trajectory(preset, 4, seed).poses):
+            img, cloud = lidar_scan(scene, pose, scanner, seed=seed + i)
+            ref_img, ref_cloud = lidar_scan(reference, pose, scanner, seed=seed + i)
+            for got, want in ((img.depth, ref_img.depth),
+                              (img.intensity, ref_img.intensity),
+                              (img.valid, ref_img.valid),
+                              (cloud.points, ref_cloud.points),
+                              (cloud.intensity, ref_cloud.intensity)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_rays_grazing_box_bound(self):
+        # Rays tangent to the bounding sphere at a box corner touch the box
+        # there: about half of them hit after rounding. Just outside the
+        # margin the cull drops them, and they miss.
+        box = Box([0.3, 0.2, 0.1], [0.05, 0.04, 0.03], so3_exp([0.1, 0.2, 0.7]))
+        center, radius = box.bounding_sphere
+        corner = box.center + box.rotation @ box.half_extents
+        k = (corner - center) / radius
+        u = np.cross(k, [0.0, 0.0, 1.0])
+        u /= np.linalg.norm(u)
+        v = np.cross(k, u)
+        ang = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        dirs = np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * v
+        for offset, hits_min, hits_max in ((-1e-9, 64, 64), (0.0, 1, 63),
+                                           (1e-9, 0, 0), (1e-5 * radius, 0, 0)):
+            point = corner + offset * k
+            hits = 0
+            for d in dirs:
+                t, _, _ = _cast_as_reference([box], point - d, d[None])
+                hits += np.isfinite(t).sum()
+            assert hits_min <= hits <= hits_max
+        assert all(_reaching(box, point - d, d[None]).size == 0 for d in dirs)
+
+    def test_box_behind_sensor(self):
+        box = Box([-0.5, 0.0, 0.0], [0.1, 0.1, 0.1])
+        dirs = SCANNER.directions
+        t, _, _ = _cast_as_reference([box], np.zeros(3), dirs)
+        assert np.isfinite(t).any()
+        assert (dirs[np.isfinite(t), 0] < 0.0).all()
+        t, _, _ = _cast_as_reference([box], np.zeros(3), dirs[dirs[:, 0] >= 0.0])
+        assert np.isinf(t).all()
+
+    def test_ray_parallel_to_slab_face(self):
+        # The ray's y and z components are 0 (or below _EPS): inside the
+        # y slab, on its face and outside it.
+        box = Box([0.0, 0.0, 0.0], [0.5, 0.5, 0.5])
+        for d in ([-1.0, 0.0, 0.0], [-1.0, 1e-12, 0.0]):
+            d = np.array([d])
+            for y, want in ((0.1, 1.5), (0.5, 1.5), (0.6, np.inf)):
+                t, n, _ = _cast_as_reference([box], [2.0, y, 0.2], d)
+                assert t[0] == want
+                if np.isfinite(want):
+                    assert n[0].tolist() == [1.0, 0.0, 0.0]
+
+    def test_sensor_inside_box(self):
+        # From inside, a box has no entry face ahead: the rays pass on to
+        # the floor below it.
+        floor = Rect([0.5, 0.5, 0.12], [0.0, 0.0, 1.0], 0.45, 0.45, 0.9)
+        box = Box([0.5, 0.5, 0.3], [0.1, 0.1, 0.1], so3_exp([0.0, 0.0, 0.4]),
+                  reflectance=0.5)
+        t, _, refl = _cast_as_reference([floor, box], [0.5, 0.5, 0.3],
+                                        SCANNER.directions)
+        hit = np.isfinite(t)
+        assert hit.any()
+        assert (refl[hit] == 0.9).all()
+
+    def test_empty_scene(self):
+        t, n, refl = _cast_as_reference([], np.zeros(3), SCANNER.directions)
+        assert np.isinf(t).all() and not n.any() and not refl.any()
+
+    @pytest.mark.parametrize("make", [
+        lambda r: Rect([0.6, 0.5, 0.2], [-1.0, 0.0, 0.0], 0.2, 0.2, r),
+        lambda r: Box([0.6, 0.5, 0.2], [0.05, 0.1, 0.1], reflectance=r)],
+        ids=["rect", "box"])
+    def test_coincident_primitives_earlier_wins(self, make):
+        dirs = SCANNER.directions
+        t, _, refl = _cast_as_reference([make(0.3), make(0.9)],
+                                        [0.3, 0.5, 0.2], dirs)
+        hit = np.isfinite(t)
+        assert hit.any()
+        assert (refl[hit] == 0.3).all()
 
 
 class TestProjection:
