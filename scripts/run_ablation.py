@@ -23,8 +23,8 @@ from geonlf.scene import (ScannerConfig, lidar_scan, make_scene,
 from geonlf.trainer import TrainConfig, train
 
 
-def run_variant(images, init, scanner, seed, iterations, use_sr, use_geo):
-    cfg = TrainConfig(iterations=iterations, seed=seed, use_sr=use_sr,
+def run_variant(images, init, scanner, seed, iterations, top_k, use_geo):
+    cfg = TrainConfig(iterations=iterations, seed=seed, top_k=top_k,
                       use_geo=use_geo)
     _, est, _ = train(images, init, scanner, cfg)
     return est
@@ -41,12 +41,14 @@ def ablation_once(seed, frames=8, iterations=800, sigma_rot=5.0,
     clouds = [s[1] for s in scans]
     init = perturb_poses(gt, sigma_rot, sigma_trans, seed)
 
+    # Selective reweighting is off with no outlier frames (top_k = 0).
+    top_k = TrainConfig.top_k
     results = {"init": pose_metrics(init, gt).ate_m}
-    for name, (sr, geo) in (("full", (True, True)),
-                            ("wo_sr", (False, True)),
-                            ("wo_geo", (True, False))):
+    for name, (k, geo) in (("full", (top_k, True)),
+                           ("wo_sr", (0, True)),
+                           ("wo_geo", (top_k, False))):
         t0 = time.time()
-        est = run_variant(images, init, scanner, seed, iterations, sr, geo)
+        est = run_variant(images, init, scanner, seed, iterations, k, geo)
         results[name] = pose_metrics(est, gt).ate_m
         if verbose:
             print(f"  seed {seed} {name:7s}: ATE {results[name]:.4f} "

@@ -52,19 +52,14 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _read_frames(data_dir: Path):
-    rimg_paths = sorted(data_dir.glob("frame_*.rimg"))
-    if not rimg_paths:
-        raise FileNotFoundError(f"no frame_*.rimg files in {data_dir}")
-    ids = [int(p.stem.split("_")[1]) for p in rimg_paths]
-    return ids, [read_rimg(p) for p in rimg_paths]
-
-
-def _read_clouds(data_dir: Path):
-    ply_paths = sorted(data_dir.glob("frame_*.ply"))
-    if not ply_paths:
-        raise FileNotFoundError(f"no frame_*.ply files in {data_dir}")
-    return [read_ply(p) for p in ply_paths]
+def _read_scans(data_dir: Path, suffix: str, reader):
+    """(frame ids, scans) of the frame_*.`suffix` files, read by `reader`
+    in file-name order."""
+    paths = sorted(data_dir.glob(f"frame_*.{suffix}"))
+    if not paths:
+        raise FileNotFoundError(f"no frame_*.{suffix} files in {data_dir}")
+    return ([int(p.stem.split("_")[1]) for p in paths],
+            [reader(p) for p in paths])
 
 
 def cmd_gen(args) -> int:
@@ -101,7 +96,7 @@ def cmd_register(args) -> int:
     data = Path(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    clouds = _read_clouds(data)
+    _, clouds = _read_scans(data, "ply", read_ply)
     init = read_trajectory(data / "init_traj.txt")
 
     if steps == 0:
@@ -133,7 +128,7 @@ def cmd_reconstruct(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    ids, images = _read_frames(data)
+    ids, images = _read_scans(data, "rimg", read_rimg)
     init = read_trajectory(data / "init_traj.txt")
     holdout_file = data / "holdout.txt"
     held = sorted(int(line) for line in holdout_file.read_text().split()) \
@@ -175,7 +170,7 @@ def cmd_baseline_icp(args) -> int:
     data = Path(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    clouds = _read_clouds(data)
+    _, clouds = _read_scans(data, "ply", read_ply)
     init = read_trajectory(data / "init_traj.txt")
     rel_init = [np.eye(4)]
     for i in range(1, len(clouds)):
@@ -203,7 +198,7 @@ def cmd_eval(args) -> int:
 
     if args.pred_dir and args.gt_dir:
         scanner_cfg = _load_config(args).scanner()
-        cds, fss, rds, mds, pds, ris, mis, pis = ([] for _ in range(8))
+        frames = []     # (cd, fscore, 3 depth and 3 intensity metrics)
         for pred_path in sorted(Path(args.pred_dir).glob("pred_frame_*.rimg")):
             fid = int(pred_path.stem.split("_")[-1])
             gt_path = Path(args.gt_dir) / f"frame_{fid:04d}.rimg"
@@ -214,19 +209,15 @@ def cmd_eval(args) -> int:
             cd, fs = chamfer_fscore(unproject(pred, scanner_cfg),
                                     unproject(gt, scanner_cfg),
                                     threshold=args.fscore_threshold)
-            rd, md, pd = image_metrics(pred, gt, "depth")
-            ri, mi, pi = image_metrics(pred, gt, "intensity")
-            for acc, v in zip((cds, fss, rds, mds, pds, ris, mis, pis),
-                              (cd, fs, rd, md, pd, ri, mi, pi)):
-                acc.append(v)
-        if not cds:
+            frames.append((cd, fs, *image_metrics(pred, gt, "depth"),
+                           *image_metrics(pred, gt, "intensity")))
+        if not frames:
             raise FileNotFoundError(
                 f"no pred_frame_*.rimg in {args.pred_dir} has a "
                 f"frame_*.rimg in {args.gt_dir}")
-        row.update(cd=float(np.mean(cds)), fscore=float(np.mean(fss)),
-                   rmse_d=float(np.mean(rds)), medae_d=float(np.mean(mds)),
-                   psnr_d=float(np.mean(pds)), rmse_i=float(np.mean(ris)),
-                   medae_i=float(np.mean(mis)), psnr_i=float(np.mean(pis)))
+        row.update((col, float(np.mean(values))) for col, values in zip(
+            ("cd", "fscore", "rmse_d", "medae_d", "psnr_d", "rmse_i",
+             "medae_i", "psnr_i"), zip(*frames)))
     csv_text = metrics_rows_to_csv([row])
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -31,30 +31,26 @@ _EXTRA_DEFAULTS = {
 }
 
 
-def _schema() -> dict[str, object]:
-    schema: dict[str, object] = {}
-    for section, cls in _SECTIONS.items():
-        for f in dataclasses.fields(cls):
-            if f.type in ("int", "float", "bool", "str") or isinstance(
-                    f.default, (int, float, bool, str)):
-                default = f.default
-                if default is dataclasses.MISSING:
-                    continue
-                schema[f"{section}.{f.name}"] = default
-    schema.update(_EXTRA_DEFAULTS)
-    return schema
+# Every number and flag of the config dataclasses (a nested config such as
+# TrainConfig.rcd has no plain default), then the extra keys.
+_SCHEMA: dict[str, object] = {
+    **{f"{section}.{f.name}": f.default
+       for section, cls in _SECTIONS.items()
+       for f in dataclasses.fields(cls)
+       if isinstance(f.default, (int, float))},
+    **_EXTRA_DEFAULTS}
 
 
 class RunConfig:
     """Effective configuration: schema defaults plus parsed overrides."""
 
     def __init__(self):
-        self.values = _schema()
+        self.values = dict(_SCHEMA)
 
     # -- parsing -----------------------------------------------------------
 
     def _coerce(self, key: str, raw: str, line: int):
-        default = _schema()[key]
+        default = _SCHEMA[key]
         try:
             if isinstance(default, bool):
                 token = raw.strip().lower()
@@ -65,9 +61,7 @@ class RunConfig:
                 raise ValueError(f"not a boolean: {raw!r}")
             if isinstance(default, int):
                 return int(raw.strip())
-            if isinstance(default, float):
-                return float(raw.strip())
-            return raw.strip()
+            return float(raw.strip())
         except ValueError as exc:
             raise ConfigError(f"bad value for {key} (line {line}): {exc}",
                               line=line) from exc

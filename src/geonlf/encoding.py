@@ -63,6 +63,8 @@ class EncodingConfig:
         # One cell, two grid lines, per axis at least.
         if self.planar_resolution < 2:
             raise ValueError("planar_resolution must be >= 2")
+        if self.planar_channels < 0:
+            raise ValueError("planar_channels must be >= 0")
 
     def level_resolutions(self) -> list[int]:
         return [int(np.floor(self.base_resolution * self.growth ** l))

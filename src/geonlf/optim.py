@@ -41,6 +41,14 @@ class Adam:
         v_hat = v / (1.0 - BETA2 ** t)
         param -= (lr * m_hat / (np.sqrt(v_hat) + EPS)).astype(param.dtype)
 
+    def step_pose(self, key: str, pose, grad: np.ndarray, lr_rot: float,
+                  lr_trans: float) -> None:
+        """Step an `Se3Param` in place along the 6-vector `grad`:
+        `pose.rho` (block `key.rho`) with grad[:3] at lr_trans, then
+        `pose.phi` (block `key.phi`) with grad[3:] at lr_rot."""
+        self.step(f"{key}.rho", pose.rho, grad[:3], lr=lr_trans)
+        self.step(f"{key}.phi", pose.phi, grad[3:], lr=lr_rot)
+
 
 def exp_decay(start: float, end: float, progress: float) -> float:
     """Exponential interpolation start -> end over progress in [0, 1]."""

@@ -412,8 +412,7 @@ class GeoSession:
         loss, grads = graph_loss(self.clouds, poses, self.graph, self.cfg, t,
                                  trees=self.trees, caches=self.caches)
         for f, pose in enumerate(poses[1:], start=1):
-            self.adam.step(f"pose{f}.rho", pose.rho, grads[f, :3], lr=lr_trans)
-            self.adam.step(f"pose{f}.phi", pose.phi, grads[f, 3:], lr=lr_rot)
+            self.adam.step_pose(f"pose{f}", pose, grads[f], lr_rot, lr_trans)
         return loss
 
 

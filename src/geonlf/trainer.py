@@ -57,7 +57,6 @@ class TrainConfig:
     m1: int = 1
     cd_every: int = 10
     hidden_width: int = 32
-    use_sr: bool = True
     use_geo: bool = True
     seed: int = 0
     rcd: RcdConfig = dc_field(default_factory=RcdConfig)
@@ -77,41 +76,20 @@ class TrainConfig:
                      "graph_window", "hidden_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name in ("iterations", "cd_every", "top_k", "seed",
+                     "alt_ratio_start", "alt_ratio_end"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
-# Decay of the per-frame loss moving average in `FrameLossTracker`.
+# Decay of the per-frame 2D loss moving average that `train` keeps.
 LOSS_EMA_DECAY = 0.9
 
 
-class FrameLossTracker:
-    """Exponential moving average (decay LOSS_EMA_DECAY) of per-frame
-    rendering loss."""
-
-    def __init__(self, num_frames: int):
-        self.ema = np.zeros(num_frames)
-        self.seen = np.zeros(num_frames, dtype=bool)
-
-    def update(self, frame: int, loss: float) -> None:
-        if self.seen[frame]:
-            self.ema[frame] = (LOSS_EMA_DECAY * self.ema[frame]
-                               + (1.0 - LOSS_EMA_DECAY) * loss)
-        else:
-            self.ema[frame] = loss
-            self.seen[frame] = True
-
-    def all_seen(self) -> bool:
-        return bool(self.seen.all())
-
-
-def select_outliers(tracker: FrameLossTracker, k: int) -> set[int]:
-    """Frame ids of the k largest EMA losses; ties resolve to lower ids."""
-    if k <= 0:
-        return set()
-    n = tracker.ema.shape[0]
-    order = sorted(range(n), key=lambda i: (-tracker.ema[i], i))
-    return set(order[:min(k, n)])
+def select_outliers(ema: np.ndarray, k: int) -> set[int]:
+    """Frame ids of the k largest per-frame losses in `ema`; ties resolve
+    to lower ids."""
+    return set(sorted(range(len(ema)), key=lambda i: (-ema[i], i))[:k])
 
 
 def reweight_factor(progress: float, w0: float) -> float:
@@ -119,14 +97,16 @@ def reweight_factor(progress: float, w0: float) -> float:
     return w0 + progress * (1.0 - w0)
 
 
-def alternation_ratio(progress: float, m1: int = 1, start: float = 10.0,
-                      end: float = 1.0) -> int:
-    """Number of geometric epochs m2 to run after every m1 global epochs.
+def alternation_ratio(progress: float, cfg: TrainConfig) -> int:
+    """Number of geometric epochs m2 to run after every cfg.m1 global
+    epochs.
 
-    The ratio m2/m1 interpolates start -> end linearly; m2 rounds half-up.
+    The ratio m2/m1 interpolates cfg.alt_ratio_start -> cfg.alt_ratio_end
+    linearly; m2 rounds half-up.
     """
-    ratio = start + (end - start) * progress
-    return int(np.floor(m1 * ratio + 0.5))
+    ratio = (cfg.alt_ratio_start
+             + (cfg.alt_ratio_end - cfg.alt_ratio_start) * progress)
+    return int(np.floor(cfg.m1 * ratio + 0.5))
 
 
 def render_loss(pred: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -365,6 +345,15 @@ def train(images: list[RangeImage], init_poses: Trajectory,
     """Run the alternating optimization and return
     (FieldParams, Trajectory, log rows).
 
+    Training runs in epochs of one global step (render, loss, backward,
+    Adam on the field and the frame's pose) per frame, in a fresh random
+    order each epoch; the last epoch is cut short at cfg.iterations. After
+    each complete epoch, the top_k frames of largest 2D-loss average become
+    the outliers whose field gradients the next epoch scales down
+    (`reweight_factor`), and after every m1-th one, `alternation_ratio`
+    geometric epochs (`GeoSession.step` on all poses) follow. A cut-short
+    epoch is followed by neither.
+
     `init_poses` is a Trajectory with one pose per image. Frame 0 is the
     gauge anchor and is never updated. Scene coordinates must already live
     in the unit cube. Every range image must have the scanner's shape.
@@ -387,62 +376,59 @@ def train(images: list[RangeImage], init_poses: Trajectory,
                       cfg.rcd) if cfg.use_geo else None)
     adam_field = Adam()
     adam_pose = Adam()
-    tracker = FrameLossTracker(m)
+    ema = np.zeros(m)       # per-frame 2D loss, LOSS_EMA_DECAY average
     outliers: set[int] = set()
     top_k = min(cfg.top_k, m - 1)
     total_levels = enc_cfg.total_mask_levels
     logs: list[dict] = []
 
-    # Visit order is re-permuted each epoch; a fixed order would bias the
-    # loss tracker toward early-position frames (the field improves within
-    # an epoch, so later visits always record lower losses).
-    visit_order = rng.permutation(m)
-    for it in range(cfg.iterations):
-        if it % m == 0 and it > 0:
-            visit_order = rng.permutation(m)
-        frame = int(visit_order[it % m])
-        progress = it / max(cfg.iterations - 1, 1)
-        lr_field = exp_decay(cfg.lr_field_start, cfg.lr_field_end, progress)
-        lr_trans = exp_decay(cfg.lr_trans_start, cfg.lr_trans_end, progress)
-        lr_rot = exp_decay(cfg.lr_rot_start, cfg.lr_rot_end, progress)
-        alpha = c2f_alpha(progress, cfg, total_levels)
-        t_temp = temperature_at(progress, cfg.rcd)
+    # A fixed visit order would bias the loss average toward early-position
+    # frames: the field improves within an epoch, so later visits always
+    # record lower losses.
+    for epoch in range(-(-cfg.iterations // m)):
+        order = rng.permutation(m)[:cfg.iterations - epoch * m]
+        for it, frame in enumerate(order.tolist(), start=epoch * m):
+            progress = it / max(cfg.iterations - 1, 1)
+            lr_field = exp_decay(cfg.lr_field_start, cfg.lr_field_end,
+                                 progress)
+            lr_trans = exp_decay(cfg.lr_trans_start, cfg.lr_trans_end,
+                                 progress)
+            lr_rot = exp_decay(cfg.lr_rot_start, cfg.lr_rot_end, progress)
+            alpha = c2f_alpha(progress, cfg, total_levels)
+            t_temp = temperature_at(progress, cfg.rcd)
 
-        loss_r, comps, pose_grad = render_step(
-            params, poses[frame], targets[frame], scanner, cfg,
-            alpha, rng, field_grads=True,
-            chamfer=cfg.cd_every > 0 and it % cfg.cd_every == 0)
-        total = (loss_r + cfg.lambda_cd * comps["cd"]
-                 + cfg.lambda_normal * comps["normal"])
-        _check_finite(total, it, frame, comps, params, poses)
+            loss_r, comps, pose_grad = render_step(
+                params, poses[frame], targets[frame], scanner, cfg,
+                alpha, rng, field_grads=True,
+                chamfer=cfg.cd_every > 0 and it % cfg.cd_every == 0)
+            total = (loss_r + cfg.lambda_cd * comps["cd"]
+                     + cfg.lambda_normal * comps["normal"])
+            _check_finite(total, it, frame, comps, params, poses)
 
-        if cfg.use_sr and frame in outliers:
-            params.scale_grads(reweight_factor(progress, cfg.w0_start))
-        for name, p in params.params.items():
-            adam_field.step(name, p, params.grads[name], lr=lr_field)
-        if frame != 0:
-            adam_pose.step(f"pose{frame}.rho", poses[frame].rho,
-                           pose_grad[:3], lr=lr_trans)
-            adam_pose.step(f"pose{frame}.phi", poses[frame].phi,
-                           pose_grad[3:], lr=lr_rot)
+            if frame in outliers:
+                params.scale_grads(reweight_factor(progress, cfg.w0_start))
+            for name, p in params.params.items():
+                adam_field.step(name, p, params.grads[name], lr=lr_field)
+            if frame != 0:
+                adam_pose.step_pose(f"pose{frame}", poses[frame], pose_grad,
+                                    lr_rot, lr_trans)
 
-        tracker.update(frame, loss_r)
-        logs.append(loss_row(it, "global", total, frame, **comps,
-                             alpha=alpha, t_temp=t_temp))
+            ema[frame] = loss_r if epoch == 0 else (
+                LOSS_EMA_DECAY * ema[frame] + (1.0 - LOSS_EMA_DECAY) * loss_r)
+            logs.append(loss_row(it, "global", total, frame, **comps,
+                                 alpha=alpha, t_temp=t_temp))
 
-        if (it + 1) % m == 0:
-            if tracker.all_seen():
-                outliers = select_outliers(tracker, top_k)
-            epoch = (it + 1) // m
-            if geo is not None and epoch % cfg.m1 == 0:
-                m2 = alternation_ratio(progress, cfg.m1, cfg.alt_ratio_start,
-                                       cfg.alt_ratio_end)
-                for _ in range(m2):
-                    geo_loss = geo.step(poses, t_temp, lr_rot, lr_trans)
-                    _check_finite(geo_loss, it, -1, {"geo": geo_loss},
-                                  params, poses)
-                    logs.append(loss_row(it, "geo", geo_loss, alpha=alpha,
-                                         t_temp=t_temp))
+        if len(order) < m:
+            break
+        # The geometric epochs take the schedule of the last global step.
+        outliers = select_outliers(ema, top_k)
+        if geo is not None and (epoch + 1) % cfg.m1 == 0:
+            for _ in range(alternation_ratio(progress, cfg)):
+                geo_loss = geo.step(poses, t_temp, lr_rot, lr_trans)
+                _check_finite(geo_loss, it, -1, {"geo": geo_loss},
+                              params, poses)
+                logs.append(loss_row(it, "geo", geo_loss, alpha=alpha,
+                                     t_temp=t_temp))
 
     traj = Trajectory(list(init_poses.frame_ids),
                       np.array([se3_decoupled(p) for p in poses]))
@@ -488,6 +474,5 @@ def register_novel_view(params: FieldParams, target: RangeImage,
         loss, comps, pose_grad = render_step(params, pose, flat, scanner, cfg,
                                              None, rng, field_grads=False)
         _check_finite(loss, step, -1, comps, params, [pose])
-        adam.step("rho", pose.rho, pose_grad[:3], lr=lr_trans)
-        adam.step("phi", pose.phi, pose_grad[3:], lr=lr_rot)
+        adam.step_pose("pose", pose, pose_grad, lr_rot, lr_trans)
     return pose

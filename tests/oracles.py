@@ -104,6 +104,28 @@ def linear_scan_nearest(points, query):
     return idx, float(np.sqrt(best))
 
 
+def replay_outliers(rows, num_frames, k, cfg, decay=0.9):
+    """Replay the global rows of a `train` log through a per-frame moving
+    average of the 2D loss: a frame's first loss is stored, each later one
+    folded in as decay * old + (1 - decay) * new. Yields (row, the
+    averages, the k frames of largest average with ties to lower ids)
+    after each global row, with None for the frames until every frame has
+    been seen."""
+    ema = [0.0] * num_frames
+    seen = [False] * num_frames
+    for row in rows:
+        if row["phase"] != "global":
+            continue
+        f = row["frame"]
+        loss = (cfg.lambda_depth * row["depth"]
+                + cfg.lambda_intensity * row["intensity"]
+                + cfg.lambda_raydrop * row["raydrop"])
+        ema[f] = decay * ema[f] + (1.0 - decay) * loss if seen[f] else loss
+        seen[f] = True
+        top = sorted(range(num_frames), key=lambda i: (-ema[i], i))[:k]
+        yield row, list(ema), set(top) if all(seen) else None
+
+
 def edge_chamfer(cloud_p, cloud_q, xi_p, xi_q, cfg, t, trees=None):
     """The robust Chamfer term of one pair of posed frames: `graph_loss`
     on the one-edge graph build_graph(2, 1), whose denominator is 1.

@@ -43,8 +43,8 @@ def test_ablation_trains_on_the_gen_dataset(tmp_path, monkeypatch):
 
     assert sorted(results) == ["full", "icp", "init", "wo_geo", "wo_sr"]
     assert all(np.isfinite(v) for v in results.values())
-    assert [(c.use_sr, c.use_geo) for _, _, c in seen] == [
-        (True, True), (False, True), (True, False)]
+    assert [(c.top_k, c.use_geo) for _, _, c in seen] == [
+        (5, True), (0, True), (5, False)]
     gen_init = read_trajectory(data / "init_traj.txt")
     for images, init, _ in seen:
         assert init.frame_ids == gen_init.frame_ids

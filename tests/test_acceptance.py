@@ -25,12 +25,11 @@ from geonlf.rcd import (RcdConfig, build_graph, correspondence_weights,
                         geo_optimize, graph_loss)
 from geonlf.scene import (ScannerConfig, lidar_scan, make_scene,
                           make_trajectory, perturb_poses)
-from geonlf.trainer import (TrainConfig, FrameLossTracker, pose_rays,
-                            reweight_factor, render_loss, select_outliers,
-                            train)
+from geonlf.trainer import (TrainConfig, pose_rays, reweight_factor,
+                            render_loss, train)
 from oracles import (brute_chamfer, brute_fscore, edge_chamfer,
-                     graph_denominator, numeric_gradient, se3_full_exp,
-                     series_se3_exp, uniform_distances)
+                     graph_denominator, numeric_gradient, replay_outliers,
+                     se3_full_exp, series_se3_exp, uniform_distances)
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -308,19 +307,8 @@ def test_criterion_8_selective_reweighting():
                           hidden_width=16, seed=seed, use_geo=False,
                           rcd=RcdConfig(voxel_size=0.02))
         _, _, logs = train(images, init, scanner, cfg, enc_cfg=enc_small)
-        tracker = FrameLossTracker(8)
-        entered = False
-        for row in logs:
-            if row["phase"] != "global":
-                continue
-            loss_r = (cfg.lambda_depth * row["depth"]
-                      + cfg.lambda_intensity * row["intensity"]
-                      + cfg.lambda_raydrop * row["raydrop"])
-            tracker.update(row["frame"], loss_r)
-            if tracker.all_seen() and frame in select_outliers(tracker, 5):
-                entered = True
-                break
-        hits += int(entered)
+        hits += any(top is not None and frame in top
+                    for _, _, top in replay_outliers(logs, 8, 5, cfg))
     report("8 selective reweighting",
            exact and pose_same and hits >= 9,
            f"exact scaling {exact}, pose bit-identical {pose_same}, "

@@ -379,6 +379,22 @@ class TestErrors:
         assert err == "error: bad train config: seed must be >= 0\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("line, section", [
+        ("train.top_k = -1", "train"), ("field.planar_channels = -1", "field")])
+    def test_negative_config_count_exit_1(self, line, section, dataset,
+                                          tmp_path, capsys):
+        # A negative top_k silently turned reweighting off; negative planar
+        # channels died in numpy with a traceback.
+        bad = tmp_path / "count.cfg"
+        bad.write_text(line + "\n")
+        rc = main(["reconstruct", str(dataset), "--config", str(bad),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        name = line.split(" ")[0].partition(".")[2]
+        assert capsys.readouterr().err == \
+            f"error: bad {section} config: {name} must be >= 0\n"
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_preset_exit_1(self, tmp_path):
         rc = main(["gen", "--preset", "corridor", "--frames", "3",
                    "--out", str(tmp_path / "y")])

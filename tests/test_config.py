@@ -25,10 +25,10 @@ class TestRunConfig:
         cfg = RunConfig.parse("rcd.voxel_size = 0.02\n"
                               "# comment\n"
                               "train.iterations=50\n"
-                              "train.use_sr = false\n")
+                              "train.use_geo = false\n")
         assert cfg["rcd.voxel_size"] == 0.02
         assert cfg["train.iterations"] == 50
-        assert cfg["train.use_sr"] is False
+        assert cfg["train.use_geo"] is False
 
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ConfigError) as err:
@@ -84,6 +84,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="planar_resolution"):
             cfg.encoding()
 
+    @pytest.mark.parametrize("key, view", [
+        ("train.top_k", "train"), ("train.iterations", "train"),
+        ("train.cd_every", "train"), ("train.alt_ratio_start", "train"),
+        ("train.alt_ratio_end", "train"),
+        ("field.planar_channels", "encoding")])
+    def test_typed_view_rejects_negative(self, key, view):
+        # Each negative value was accepted: top_k or cd_every switched its
+        # term off, a ratio skipped the geometric epochs, and planar
+        # channels failed in numpy. Zero stays valid.
+        assert getattr(RunConfig.parse(f"{key} = 0\n"), view)()
+        cfg = RunConfig.parse(f"{key} = -1\n")
+        with pytest.raises(ConfigError,
+                           match=f"{key.split('.')[1]} must be >= 0"):
+            getattr(cfg, view)()
+
     def test_negative_seed_rejected(self):
         # numpy's generators take no negative seed.
         with pytest.raises(ConfigError, match="seed must be >= 0"):
@@ -100,7 +115,8 @@ class TestRunConfig:
         # These keys changed no number and are gone; a gen.cfg written
         # while they existed must have them deleted.
         for key in ("train.w0_end", "train.share_pose_adam",
-                    "field.sinusoidal_levels", "train.cd_subsample"):
+                    "field.sinusoidal_levels", "train.cd_subsample",
+                    "train.use_sr"):
             with pytest.raises(ConfigError):
                 RunConfig.parse(f"{key} = 1\n")
 

@@ -20,13 +20,14 @@ from geonlf.rcd import RcdConfig
 from geonlf.scene import (ScannerConfig, lidar_scan, make_scene,
                           make_trajectory, perturb_poses)
 from geonlf.spatial import pool_map
-from geonlf.trainer import (FrameLossTracker, TrainConfig, _flat_target,
+from geonlf.trainer import (TrainConfig, _flat_target,
                             alternation_ratio, c2f_alpha, cd_loss_3d,
                             normal_loss, pose_rays, register_novel_view,
                             render_full_image, render_loss, render_step,
                             reweight_factor, sample_distances,
                             select_outliers, train)
-from oracles import brute_chamfer, numeric_gradient, uniform_distances
+from oracles import (brute_chamfer, numeric_gradient, replay_outliers,
+                     uniform_distances)
 
 TINY_ENC = EncodingConfig(levels=3, base_resolution=8, growth=1.6,
                           features_per_level=2, hash_table_size=2 ** 12,
@@ -656,23 +657,40 @@ class TestNormalLoss:
 
 class TestSelectionAndSchedules:
     def test_select_outliers_ordering(self):
-        tr = FrameLossTracker(5)
-        for f, v in enumerate([5.0, 1.0, 1.0, 1.0, 9.0]):
-            tr.update(f, v)
-        assert select_outliers(tr, 2) == {4, 0}
-        assert select_outliers(tr, 0) == set()
+        ema = np.array([5.0, 1.0, 1.0, 1.0, 9.0])
+        assert select_outliers(ema, 2) == {4, 0}
+        assert select_outliers(ema, 0) == set()
 
     def test_select_ties_lower_id(self):
-        tr = FrameLossTracker(4)
-        for f, v in enumerate([2.0, 2.0, 2.0, 1.0]):
-            tr.update(f, v)
-        assert select_outliers(tr, 2) == {0, 1}
+        assert select_outliers(np.array([2.0, 2.0, 2.0, 1.0]), 2) == {0, 1}
 
-    def test_ema(self):
-        tr = FrameLossTracker(1)
-        tr.update(0, 1.0)
-        tr.update(0, 2.0)
-        np.testing.assert_allclose(tr.ema[0], 0.9 * 1.0 + 0.1 * 2.0)
+    def test_ema(self, monkeypatch):
+        """After each epoch `train` selects from the per-frame loss average
+        that replaying its log gives, and the next epoch reweights the
+        replay's top_k frames."""
+        m = 4
+        images, _, init = make_dataset(frames=m)
+        cfg = small_cfg(iterations=6 * m, rays_per_batch=64,
+                        samples_per_ray=8, cd_every=0, use_geo=False)
+        averages, reweighted = [], []
+        factor = trainer.reweight_factor
+
+        def selected(ema, k):
+            averages.append(ema.tolist())
+            return select_outliers(ema, k)
+
+        def recorded(progress, w0):
+            reweighted.append(round(progress * (cfg.iterations - 1)))
+            return factor(progress, w0)
+
+        monkeypatch.setattr(trainer, "select_outliers", selected)
+        monkeypatch.setattr(trainer, "reweight_factor", recorded)
+        _, _, logs = train(images, init, SMALL_SCANNER, cfg, enc_cfg=TINY_ENC)
+        replay = list(replay_outliers(logs, m, cfg.top_k, cfg))
+        assert averages == [ema for _, ema, _ in replay[m - 1::m]]
+        expected = [row["iter"] for row, _, _ in replay[m:]
+                    if row["frame"] in replay[row["iter"] // m * m - 1][2]]
+        assert expected and reweighted == expected
 
     def test_reweight_factor(self):
         np.testing.assert_allclose(reweight_factor(0.0, 0.15), 0.15)
@@ -680,9 +698,11 @@ class TestSelectionAndSchedules:
         np.testing.assert_allclose(reweight_factor(0.5, 0.15), 0.575)
 
     def test_alternation_ratio(self):
-        assert alternation_ratio(0.0, 1) == 10
-        assert alternation_ratio(1.0, 1) == 1
-        assert alternation_ratio(0.5, 1) == 6  # round(5.5) half-up
+        cfg = TrainConfig()
+        assert alternation_ratio(0.0, cfg) == 10
+        assert alternation_ratio(1.0, cfg) == 1
+        assert alternation_ratio(0.5, cfg) == 6  # round(5.5) half-up
+        assert alternation_ratio(0.5, TrainConfig(m1=2)) == 11
 
     def test_c2f_alpha_schedule(self):
         cfg = TrainConfig(iterations=10)
@@ -810,6 +830,50 @@ class TestTrainLoop:
         assert calls == {"render_rays": 6, "backward": 6}
         cd = [r["cd"] for r in logs if r["phase"] == "global"]
         assert [c > 0.0 for c in cd] == [True, False] * 3
+
+    def test_epoch_schedule(self, monkeypatch):
+        """23 iterations on 5 frames: four complete epochs, then a partial
+        one of 3 iterations. Each complete epoch visits every frame once;
+        after every m1-th complete epoch come `alternation_ratio` geometric
+        rows at that epoch's last progress, and none after the partial
+        one (the fifth epoch, an m1-th one at m1 = 1). With top_k = 0 no
+        field gradient is ever reweighted."""
+        m = 5
+        images, _, init = make_dataset(frames=m)
+        scaled = []
+        scale_grads = FieldParams.scale_grads
+        monkeypatch.setattr(FieldParams, "scale_grads",
+                            lambda self, f: (scaled.append(f),
+                                             scale_grads(self, f)))
+        for m1, top_k in ((2, 2), (2, 0), (1, 2)):
+            scaled.clear()
+            cfg = small_cfg(iterations=23, m1=m1, rays_per_batch=64,
+                            samples_per_ray=8, cd_every=0, top_k=top_k)
+            _, _, logs = train(images, init, SMALL_SCANNER, cfg,
+                               enc_cfg=TINY_ENC)
+            rows = [k for k, r in enumerate(logs) if r["phase"] == "global"]
+            assert [logs[k]["iter"] for k in rows] == list(range(23))
+            assert bool(scaled) == (top_k > 0)
+            blocks = 0
+            for epoch in range(5):
+                epoch_rows = rows[epoch * m:(epoch + 1) * m]
+                end = epoch_rows[-1]
+                after = (epoch + 1) * m
+                geo = logs[end + 1:rows[after] if after < len(rows) else None]
+                complete = len(epoch_rows) == m
+                if complete:
+                    assert sorted(logs[k]["frame"] for k in epoch_rows) \
+                        == list(range(m))
+                if not complete or (epoch + 1) % cfg.m1:
+                    assert geo == []
+                    continue
+                last = logs[end]["iter"]
+                assert len(geo) == alternation_ratio(
+                    last / (cfg.iterations - 1), cfg) > 0
+                assert all(r["phase"] == "geo" and r["iter"] == last
+                           for r in geo)
+                blocks += 1
+            assert len(rows) - 4 * m == 3 and blocks == 4 // m1
 
     def test_gauge_frame_bit_identical(self):
         images, gt, init = make_dataset(frames=4)
