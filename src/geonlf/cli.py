@@ -30,8 +30,11 @@ from .trainer import register_novel_view, render_full_image, train
 
 def holdout_ids(frames: int, stride: int) -> list[int]:
     """Held-out frame ids: every `stride`-th frame, the last one clamped
-    into range (e.g. 36 frames, stride 9 -> 9, 18, 27, 35)."""
-    if stride <= 0:
+    into range (e.g. 36 frames, stride 9 -> 9, 18, 27, 35). Stride 0 holds
+    out no frame; a negative stride is a ConfigError."""
+    if stride < 0:
+        raise ConfigError(f"gen.holdout_stride must be >= 0, got {stride}")
+    if stride == 0:
         return []
     return sorted({min(i * stride, frames - 1)
                    for i in range(1, frames // stride + 1)})
@@ -66,6 +69,7 @@ def cmd_gen(args) -> int:
     cfg = _load_config(args)
     scanner = cfg.scanner()
     seed = cfg.train().seed
+    ids = holdout_ids(args.frames, cfg["gen.holdout_stride"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -78,7 +82,6 @@ def cmd_gen(args) -> int:
         write_ply(out / f"frame_{i:04d}.ply", cloud)
     write_trajectory(out / "gt_traj.txt", gt)
     write_trajectory(out / "init_traj.txt", init)
-    ids = holdout_ids(args.frames, cfg["gen.holdout_stride"])
     (out / "holdout.txt").write_text("".join(f"{i}\n" for i in ids))
     cfg.write(out / "gen.cfg")
     print(f"wrote {args.frames} frames to {out}")

@@ -448,7 +448,7 @@ def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
         dx, table_up = encode_backward(shard.enc_cache, d_feats, cfg)
         out["dx"][rows] = dx * shard.inside
         if field_grads:
-            out["table_up"][rows] = table_up
+            out["table_up"][rows] = table_up.T
 
     list(pool_map([partial(stage1, shard) for shard in tape.shards]))
 
@@ -465,7 +465,7 @@ def backward(tape: RenderTape, d_depth: np.ndarray, d_intensity: np.ndarray,
     if field_grads:
         stage2 += _mlp_weight_grads(params, out)
         stage2 += table_scatters([s.enc_cache for s in tape.shards],
-                                 out["table_up"], params.grads["planes"],
+                                 out["table_up"].T, params.grads["planes"],
                                  params.grads["hash"], cfg)
     list(pool_map(stage2))
     return motion

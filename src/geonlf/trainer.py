@@ -352,7 +352,9 @@ def train(images: list[RangeImage], init_poses: Trajectory,
     the outliers whose field gradients the next epoch scales down
     (`reweight_factor`), and after every m1-th one, `alternation_ratio`
     geometric epochs (`GeoSession.step` on all poses) follow. A cut-short
-    epoch is followed by neither.
+    epoch is followed by neither. The `GeoSession` is built right before
+    the first geometric epoch, so a run without one computes no surface
+    clouds or normals.
 
     `init_poses` is a Trajectory with one pose per image. Frame 0 is the
     gauge anchor and is never updated. Scene coordinates must already live
@@ -371,9 +373,7 @@ def train(images: list[RangeImage], init_poses: Trajectory,
     rng = np.random.default_rng(cfg.seed)
     params = FieldParams(enc_cfg, hidden_width=cfg.hidden_width, seed=cfg.seed)
 
-    graph = build_graph(m, cfg.graph_window)
-    geo = (GeoSession([unproject(img, scanner) for img in images], graph,
-                      cfg.rcd) if cfg.use_geo else None)
+    geo = None              # built before the first geometric epoch
     adam_field = Adam()
     adam_pose = Adam()
     ema = np.zeros(m)       # per-frame 2D loss, LOSS_EMA_DECAY average
@@ -422,13 +422,16 @@ def train(images: list[RangeImage], init_poses: Trajectory,
             break
         # The geometric epochs take the schedule of the last global step.
         outliers = select_outliers(ema, top_k)
-        if geo is not None and (epoch + 1) % cfg.m1 == 0:
-            for _ in range(alternation_ratio(progress, cfg)):
-                geo_loss = geo.step(poses, t_temp, lr_rot, lr_trans)
-                _check_finite(geo_loss, it, -1, {"geo": geo_loss},
-                              params, poses)
-                logs.append(loss_row(it, "geo", geo_loss, alpha=alpha,
-                                     t_temp=t_temp))
+        if not cfg.use_geo or (epoch + 1) % cfg.m1:
+            continue
+        for _ in range(alternation_ratio(progress, cfg)):
+            if geo is None:
+                geo = GeoSession([unproject(img, scanner) for img in images],
+                                 build_graph(m, cfg.graph_window), cfg.rcd)
+            geo_loss = geo.step(poses, t_temp, lr_rot, lr_trans)
+            _check_finite(geo_loss, it, -1, {"geo": geo_loss}, params, poses)
+            logs.append(loss_row(it, "geo", geo_loss, alpha=alpha,
+                                 t_temp=t_temp))
 
     traj = Trajectory(list(init_poses.frame_ids),
                       np.array([se3_decoupled(p) for p in poses]))

@@ -234,20 +234,21 @@ def trilinear_setup(x, resolution):
             np.stack([one[:, 2], frac[:, 2]]))
     weights = np.empty((n, 8), dtype=x.dtype)
     grads = np.empty((n, 8, 3), dtype=x.dtype)
-    for k, (b0, b1, b2) in enumerate(CORNERS):
-        w01 = w_ax[0][b0] * w_ax[1][b1]
-        weights[:, k] = w01 * w_ax[2][b2]
-        s0, s1, s2 = 2 * b0 - 1, 2 * b1 - 1, 2 * b2 - 1
-        grads[:, k, 0] = s0 * (w_ax[1][b1] * w_ax[2][b2])
-        grads[:, k, 1] = s1 * (w_ax[0][b0] * w_ax[2][b2])
-        grads[:, k, 2] = s2 * w01
-    grads *= resolution
+    for k, bits in enumerate(CORNERS):
+        factors = [w_ax[a][b] for a, b in enumerate(bits)]
+        weights[:, k] = (factors[0] * factors[1]) * factors[2]
+        for a in range(3):
+            # d/dx_a: the axis' factor (1 - f, f) becomes (-r, r).
+            g = list(factors)
+            g[a] = int(2 * bits[a] - 1) * resolution
+            grads[:, k, a] = (g[0] * g[1]) * g[2]
     return corners, weights, grads
 
 
 def reference_hash_encode(x, tables, resolutions):
     """Features (n, L*F) and per-level (idx, weights, wgrads, vals), where
-    idx indexes the level's own table."""
+    idx indexes the level's own table. Each level's blend adds its corners
+    one by one, k = 4*b0 + 2*b1 + b2, from zero."""
     n, (_, table_size, f) = x.shape[0], tables.shape
     features = np.empty((n, len(resolutions) * f), dtype=x.dtype)
     levels = []
@@ -255,26 +256,43 @@ def reference_hash_encode(x, tables, resolutions):
         corners, weights, wgrads = trilinear_setup(x, res)
         idx = hash_corner_indices(corners, table_size)
         vals = tables[level][idx]
-        features[:, level * f:(level + 1) * f] = \
-            (weights[:, None, :] @ vals)[:, 0, :]
+        blend = np.zeros((n, f), dtype=x.dtype)
+        for k in range(8):
+            blend += weights[:, k, None] * vals[:, k]
+        features[:, level * f:(level + 1) * f] = blend
         levels.append((idx, weights, wgrads, vals))
     return features, levels
 
 
+def corner_scatter(rows, contrib, size):
+    """Float64 sums of `contrib` (n, K) into `size` bins at `rows` (n, K),
+    added one entry at a time: corner by corner, each corner's points in
+    order."""
+    acc = np.zeros(size)
+    for k in range(rows.shape[1]):
+        np.add.at(acc, rows[:, k], contrib[:, k].astype(np.float64))
+    return acc
+
+
 def reference_hash_backward(levels, upstream, grad_tables):
     """Scatter into grad_tables level by level and channel by channel;
-    return d/dx."""
+    return d/dx. Each corner's value dot the level's upstream is summed
+    channel by channel; d/dx adds the corners' terms in corner order per
+    level, then the levels in order."""
     f = grad_tables.shape[2]
     dx = np.zeros((upstream.shape[0], 3), dtype=upstream.dtype)
     for level, (idx, weights, wgrads, vals) in enumerate(levels):
         dy = upstream[:, level * f:(level + 1) * f]
-        contrib = weights[:, :, None] * dy[:, None, :]
         for ch in range(f):
-            grad_tables[level, :, ch] += np.bincount(
-                idx.reshape(-1), weights=contrib[:, :, ch].reshape(-1),
-                minlength=grad_tables.shape[1])
-        val_dot = (vals @ dy[:, :, None])[:, :, 0]
-        dx += (val_dot[:, None, :] @ wgrads)[:, 0, :]
+            grad_tables[level, :, ch] += corner_scatter(
+                idx, weights * dy[:, ch, None], grad_tables.shape[1])
+        val_dot = vals[:, :, 0] * dy[:, None, 0]
+        for ch in range(1, f):
+            val_dot += vals[:, :, ch] * dy[:, None, ch]
+        level_dx = np.zeros_like(dx)
+        for k in range(8):
+            level_dx += val_dot[:, k, None] * wgrads[:, k]
+        dx += level_dx
     return dx
 
 
@@ -306,19 +324,79 @@ def reference_masked_encoding(x, planes, tables, cfg, alpha, upstream):
     up_hash = upstream[:, c:].copy()
     for level in range(cfg.levels):
         up_hash[:, level * f:(level + 1) * f] *= w_hash[level]
-    dx_p, d_samples = planar_encode_backward(planar_cache, up_planar, cfg)
+    dx_p, d_samples = planar_encode_backward(planar_cache, up_planar.T, cfg)
     grad_tables = np.zeros(tables.shape)
     dx_h = reference_hash_backward(levels, up_hash, grad_tables)
     grad_planes = np.zeros(planes.shape)
     m = cfg.planar_resolution
-    for p, (flat, weights, _, _, _) in enumerate(planar_cache["corners"]):
-        contrib = weights[:, :, None] * d_samples[:, None, p * c:(p + 1) * c]
+    for p in range(3):
+        rows = planar_cache["rows"][p].T                           # (n, 4)
+        fu, fv = planar_cache["frac"][p]
+        weights = np.stack([wu * wv for wu in (1.0 - fu, fu)
+                            for wv in (1.0 - fv, fv)], axis=1)
         gp = grad_planes[p].reshape(m * m, c)
         for ch in range(c):
-            gp[:, ch] += np.bincount(flat.reshape(-1),
-                                     weights=contrib[:, :, ch].reshape(-1),
-                                     minlength=m * m)
+            gp[:, ch] += corner_scatter(
+                rows, weights * d_samples[p, ch, :, None], m * m)
     return features, dx_p + dx_h, grad_planes, grad_tables
+
+
+def pointwise_encoding_gradients(x, planes, tables, cfg, upstream):
+    """d/dx, plane gradients and table gradients of sum(features *
+    upstream) for the unmasked hybrid encoder, one point, level, plane and
+    corner at a time in float64 Python arithmetic: no sum is vectorised,
+    so none shares a summation order with the library."""
+    x, planes, tables, upstream = (np.asarray(a, np.float64)
+                                   for a in (x, planes, tables, upstream))
+    c, f, m = cfg.planar_channels, cfg.features_per_level, cfg.planar_resolution
+    dx = np.zeros(x.shape)
+    g_planes = np.zeros(planes.shape)
+    g_tables = np.zeros(tables.shape)
+    axes = ((0, 1), (0, 2), (1, 2))
+    for i, point in enumerate(x):
+        cells, samples = [], []
+        for p, (au, av) in enumerate(axes):
+            uv = point[[au, av]] * (m - 1)
+            base = [min(max(int(np.floor(u)), 0), m - 2) for u in uv]
+            fr = [u - b for u, b in zip(uv, base)]
+            corners = []
+            sample = np.zeros(c)
+            for bu in (0, 1):
+                for bv in (0, 1):
+                    wu = fr[0] if bu else 1.0 - fr[0]
+                    wv = fr[1] if bv else 1.0 - fr[1]
+                    val = planes[p, base[0] + bu, base[1] + bv]
+                    sample += wu * wv * val
+                    corners.append((bu, bv, wu, wv, val))
+            cells.append((base, corners))
+            samples.append(sample)
+        for p, (au, av) in enumerate(axes):
+            d_sample = upstream[i, :c].copy()
+            for q in range(3):
+                if q != p:
+                    d_sample *= samples[q]
+            base, corners = cells[p]
+            for bu, bv, wu, wv, val in corners:
+                g_planes[p, base[0] + bu, base[1] + bv] += wu * wv * d_sample
+                val_dot = float(val @ d_sample)
+                dx[i, au] += val_dot * (1.0 if bu else -1.0) * wv * (m - 1)
+                dx[i, av] += val_dot * (1.0 if bv else -1.0) * wu * (m - 1)
+        for level, res in enumerate(cfg.level_resolutions()):
+            pos = point * res
+            base = np.floor(pos).astype(np.int64)
+            fr = pos - base
+            dy = upstream[i, c + level * f:c + (level + 1) * f]
+            for bits in CORNERS:
+                w = [fr[a] if bits[a] else 1.0 - fr[a] for a in range(3)]
+                row = hash_corner_indices((base + bits)[None],
+                                          tables.shape[1])[0]
+                g_tables[level, row] += w[0] * w[1] * w[2] * dy
+                val_dot = float(tables[level, row] @ dy)
+                for a in range(3):
+                    b, d = [o for o in range(3) if o != a]
+                    dx[i, a] += (val_dot * (1.0 if bits[a] else -1.0)
+                                 * w[b] * w[d] * res)
+    return dx, g_planes, g_tables
 
 
 # Scene geometry checks: the distance of points to the analytic surfaces,

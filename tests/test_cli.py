@@ -57,6 +57,17 @@ class TestHoldout:
     def test_disabled(self):
         assert holdout_ids(36, 0) == []
 
+    def test_negative_stride_exit_1(self, tmp_path, capsys):
+        # Read as "no hold-outs", it wrote an empty holdout.txt and exited 0.
+        bad = tmp_path / "stride.cfg"
+        bad.write_text("gen.holdout_stride = -3\n")
+        rc = main(["gen", "--frames", "5", "--config", str(bad),
+                   "--out", str(tmp_path / "data")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: gen.holdout_stride must be >= 0, got -3\n"
+        assert not (tmp_path / "data").exists()
+
 
 class TestGen:
     def test_file_layout(self, dataset):

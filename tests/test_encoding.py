@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,8 @@ from geonlf.encoding import (EncodingConfig, c2f_weight, encode_backward,
                              planar_encode_backward, planar_encode_forward,
                              table_scatters)
 from oracles import (hash_corner_indices, numeric_gradient,
-                     reference_hash_backward, reference_hash_encode,
-                     reference_masked_encoding)
+                     pointwise_encoding_gradients, reference_hash_backward,
+                     reference_hash_encode, reference_masked_encoding)
 
 # Power-of-two resolutions make lattice corners exactly representable.
 CFG = EncodingConfig(levels=2, base_resolution=16, growth=2.0,
@@ -149,11 +151,12 @@ class TestFusedHashMatchesReference:
                                                 cfg.level_resolutions())
         assert_bits_equal(out, ref)
         for level, (idx, _, _, _) in enumerate(ref_levels):
-            np.testing.assert_array_equal(cache["idx"][level], idx + level * t)
+            np.testing.assert_array_equal(cache["idx"][:, level],
+                                          idx.T + level * t)
 
         upstream = np.random.default_rng(seed).normal(
             size=out.shape).astype(dtype)
-        dx = hash_encode_backward(cache, upstream, cfg)
+        dx = hash_encode_backward(cache, upstream.T, cfg)
         assert_bits_equal(dx, reference_hash_backward(
             ref_levels, upstream, np.zeros(tables.shape)))
 
@@ -165,7 +168,7 @@ class TestFusedHashMatchesReference:
         _, enc_cache = encode_forward(x, planes, tables, cfg, alpha=None)
         dx_all, _, g_tables = _backward(enc_cache, up_all, cfg)
         _, p_cache = planar_encode_forward(x, planes, cfg)
-        dx_p, _ = planar_encode_backward(p_cache, up_all[:, :c], cfg)
+        dx_p, _ = planar_encode_backward(p_cache, up_all[:, :c].T, cfg)
         g_ref = np.zeros(tables.shape)
         dx_h = reference_hash_backward(ref_levels, up_all[:, c:].copy(), g_ref)
         assert_bits_equal(dx_all, dx_p + dx_h)
@@ -176,14 +179,15 @@ def _backward(caches, upstream, cfg):
     """d/dx and the table gradients of one batch encoded in pieces with
     caches `caches` (or one cache), upstream stacked in the same order."""
     caches = caches if isinstance(caches, list) else [caches]
-    n = [k["hash"]["idx"].shape[1] for k in caches]
+    n = [k["hash"]["idx"].shape[2] for k in caches]
     pieces = [encode_backward(k, up, cfg) for k, up in
               zip(caches, np.split(upstream, np.cumsum(n)[:-1]))]
     m = cfg.planar_resolution
     g_planes = np.zeros((3, m, m, cfg.planar_channels))
     g_tables = np.zeros((cfg.levels, cfg.hash_table_size,
                          cfg.features_per_level))
-    for task in table_scatters(caches, np.concatenate([t for _, t in pieces]),
+    for task in table_scatters(caches,
+                               np.concatenate([t for _, t in pieces], axis=1),
                                g_planes, g_tables, cfg):
         task()
     return np.concatenate([dx for dx, _ in pieces]), g_planes, g_tables
@@ -210,6 +214,54 @@ class TestTableScatters:
         assert np.abs(whole[1]).max() > 0 and np.abs(whole[2]).max() > 0
         for a, b in zip(whole, pieces):
             assert_bits_equal(a, b)
+
+
+class TestGradientsMatchPointwiseFloat64:
+    """d/dx and the table gradients of the float64 encoder equal a per-point,
+    per-corner Python loop to far below float32 resolution, whatever order
+    either sums in. A table of 64 rows makes many corners share a row."""
+
+    @pytest.mark.parametrize("cfg", [
+        CFG, EncodingConfig(levels=3, base_resolution=5, growth=1.7,
+                            hash_table_size=64, planar_resolution=7,
+                            planar_channels=2)], ids=["lattice", "collide"])
+    def test_matches_pointwise_loop(self, cfg):
+        tables, planes = make_tables(cfg, 31)
+        rng = np.random.default_rng(32)
+        x = np.concatenate([rng.uniform(size=(30, 3)),
+                            rng.integers(0, 33, size=(6, 3)) / 32.0])
+        upstream = rng.normal(size=(len(x), cfg.feature_dim))
+        _, cache = encode_forward(x, planes, tables, cfg, alpha=None)
+        got = _backward([cache], upstream, cfg)
+        ref = pointwise_encoding_gradients(x, planes, tables, cfg, upstream)
+        for a, b in zip(got, ref):
+            assert np.abs(b).max() > 0
+            np.testing.assert_allclose(a, b, rtol=0,
+                                       atol=1e-11 * np.abs(b).max())
+
+
+# tracemalloc peak, in bytes, of `TestMemory`'s encode_forward at commit
+# 62fffbc, the encoder that blended each point's corners with (1 x 8) @
+# (8 x F) matmuls; measured by this test there (least of 3 runs).
+PER_POINT_MATMUL_PEAK = 16_126_248
+
+
+class TestMemory:
+    def test_default_shard_peak_not_above_per_point_matmul(self):
+        """One default 16,384-sample shard, float32, every block live."""
+        cfg = EncodingConfig()
+        tables, planes = (a.astype(np.float32) for a in make_tables(cfg, 41))
+        x = np.random.default_rng(42).uniform(size=(16_384, 3)).astype(
+            np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = encode_forward(x, planes, tables, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert result[0].shape == (16_384, cfg.feature_dim)
+        assert peak <= PER_POINT_MATMUL_PEAK
 
 
 # Alphas at which each block of the configs below has weight 0, a partial
@@ -256,10 +308,10 @@ class TestSkippedBlocksMatchOracle:
         live = int(np.count_nonzero(w_hash))
         planar_live = w_planar != 0.0
         for k in caches:
-            assert k["hash"]["idx"].shape[0] == live
+            assert k["hash"]["idx"].shape[1] == live
             assert (k["planar"] is not None) == planar_live
         width = 3 * cfg.planar_channels + cfg.levels * cfg.features_per_level
-        tasks = table_scatters(caches, np.zeros((n, width)), g_planes,
+        tasks = table_scatters(caches, np.zeros((width, n)), g_planes,
                                g_tables, cfg)
         assert len(tasks) == 3 * planar_live + live
         return g_planes, g_tables

@@ -831,6 +831,25 @@ class TestTrainLoop:
         cd = [r["cd"] for r in logs if r["phase"] == "global"]
         assert [c > 0.0 for c in cd] == [True, False] * 3
 
+    @pytest.mark.parametrize("iterations, ratio, sessions", [
+        (3, 10.0, 0), (4, 10.0, 1), (9, 10.0, 1), (8, 0.0, 0)])
+    def test_geo_session_built_before_first_geometric_epoch(
+            self, iterations, ratio, sessions, monkeypatch):
+        """Fewer iterations than frames, or a ratio that rounds to 0 geometric
+        epochs, builds no GeoSession (and computes no normals); otherwise
+        one session serves every geometric epoch."""
+        images, _, init = make_dataset(frames=4)
+        built = []
+        session = trainer.GeoSession
+        monkeypatch.setattr(trainer, "GeoSession",
+                            lambda *a: built.append(a) or session(*a))
+        cfg = small_cfg(iterations=iterations, rays_per_batch=64,
+                        samples_per_ray=8, cd_every=0,
+                        alt_ratio_start=ratio, alt_ratio_end=ratio)
+        _, _, logs = train(images, init, SMALL_SCANNER, cfg, enc_cfg=TINY_ENC)
+        assert len(built) == sessions
+        assert any(r["phase"] == "geo" for r in logs) == (sessions > 0)
+
     def test_epoch_schedule(self, monkeypatch):
         """23 iterations on 5 frames: four complete epochs, then a partial
         one of 3 iterations. Each complete epoch visits every frame once;
